@@ -2,12 +2,26 @@
 // triangular solve, the Gram-Schmidt family, and fp16 conversion. These
 // measure the *real* kernels (not the simulator) and mostly matter for
 // keeping the Real-mode test suite fast.
+//
+// main() also checks two same-run time ratios and exits 1 when one fails
+// (a ratio is skipped when --benchmark_filter leaves out either side):
+//  - BM_GemmFp16Fp32/256 over BM_GemmFp32/256 must stay <= 2.0: fp16
+//    rounding on pack must cost little next to the multiply;
+//  - BM_GemmBaseline/1024 over BM_GemmBlocked/1024 must stay >= 1.5: the
+//    blocked kernel must keep its lead on the seed baseline.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <limits>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "blas/gemm.hpp"
 #include "blas/transform.hpp"
 #include "blas/trsm.hpp"
-#include "common/half.hpp"
 #include "la/generate.hpp"
 #include "qr/incore.hpp"
 
@@ -46,8 +60,8 @@ BENCHMARK(BM_GemmFp16Fp32)->Arg(64)->Arg(128)->Arg(256);
 
 // Blocked kernel vs the seed pack-everything baseline at sizes where the
 // packed operands no longer fit in cache. These two benchmarks are the
-// committed host-kernel trajectory (BENCH_gemm_baseline.json): the blocked
-// kernel must stay >= 1.5x the baseline at 1024-2048 square fp32.
+// committed host-kernel trajectory (BENCH_gemm_baseline.json); main() fails
+// the run if the blocked kernel drops below 1.5x the baseline at 1024.
 void BM_GemmBlocked(benchmark::State& state) {
   const index_t n = state.range(0);
   la::Matrix a = la::random_uniform(n, n, 1);
@@ -177,6 +191,59 @@ void BM_HalfRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_HalfRoundTrip);
 
+/// Forwards every report to the display reporter that --benchmark_format
+/// selects, and keeps the fastest per-iteration wall time of each benchmark
+/// for the ratio gates.
+class GateReporter : public benchmark::BenchmarkReporter {
+ public:
+  GateReporter() : display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& r : runs) {
+      if (r.run_type != Run::RT_Iteration || r.iterations <= 0) continue;
+      const double t =
+          r.real_accumulated_time / static_cast<double>(r.iterations);
+      auto [it, fresh] = seconds_.emplace(r.benchmark_name(), t);
+      if (!fresh) it->second = std::min(it->second, t);
+    }
+    display_->ReportRuns(runs);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+  /// Checks time(num) / time(den) against [lo, hi]; true when it passes or
+  /// when either benchmark did not run.
+  bool check_ratio(const char* num, const char* den, double lo,
+                   double hi) const {
+    const auto n = seconds_.find(num);
+    const auto d = seconds_.find(den);
+    if (n == seconds_.end() || d == seconds_.end()) return true;
+    const double ratio = n->second / d->second;
+    const bool ok = ratio >= lo && ratio <= hi;
+    std::fprintf(stderr, "gate %s: %s / %s = %.3f (allowed [%g, %g])\n",
+                 ok ? "ok" : "FAILED", num, den, ratio, lo, hi);
+    return ok;
+  }
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
+  std::map<std::string, double> seconds_;
+};
+
 } // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  GateReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  const bool fp16_ok =
+      reporter.check_ratio("BM_GemmFp16Fp32/256", "BM_GemmFp32/256", 0.0, 2.0);
+  const bool blocked_ok = reporter.check_ratio(
+      "BM_GemmBaseline/1024", "BM_GemmBlocked/1024", 1.5,
+      std::numeric_limits<double>::infinity());
+  return fp16_ok && blocked_ok ? 0 : 1;
+}

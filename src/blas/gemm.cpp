@@ -4,9 +4,9 @@
 #include <atomic>
 #include <vector>
 
+#include "blas/fp16_round.hpp"
 #include "blas/gemm_kernel.hpp"
 #include "common/error.hpp"
-#include "common/half.hpp"
 #include "common/telemetry.hpp"
 
 namespace rocqr::blas {
@@ -30,28 +30,22 @@ void validate(Op opa, Op opb, index_t m, index_t n, index_t k, const float* a,
   }
 }
 
-float load_rounded(const float* p, GemmPrecision precision) {
-  return precision == GemmPrecision::FP16_FP32
-             ? static_cast<float>(half(*p))
-             : *p;
-}
-
 /// Packs op(X) (rows x cols after the op) into a dense column-major buffer —
-/// the baseline kernel's whole-operand pack.
+/// the baseline kernel's whole-operand pack — then rounds it through fp16 on
+/// the TensorCore path.
 void pack_whole(Op op, index_t rows, index_t cols, const float* x, index_t ldx,
                 GemmPrecision precision, float* out) {
   if (op == Op::NoTrans) {
     for (index_t j = 0; j < cols; ++j) {
-      for (index_t i = 0; i < rows; ++i) {
-        out[i + j * rows] = load_rounded(&x[i + j * ldx], precision);
-      }
+      for (index_t i = 0; i < rows; ++i) out[i + j * rows] = x[i + j * ldx];
     }
   } else {
     for (index_t j = 0; j < cols; ++j) {
-      for (index_t i = 0; i < rows; ++i) {
-        out[i + j * rows] = load_rounded(&x[j + i * ldx], precision);
-      }
+      for (index_t i = 0; i < rows; ++i) out[i + j * rows] = x[j + i * ldx];
     }
+  }
+  if (precision == GemmPrecision::FP16_FP32) {
+    round_fp16_span(out, out, rows * cols);
   }
 }
 
@@ -177,13 +171,15 @@ void gemm_reference(Op opa, Op opb, index_t m, index_t n, index_t k,
                     index_t ldb, float beta, float* c, index_t ldc,
                     GemmPrecision precision) {
   validate(opa, opb, m, n, k, a, lda, b, ldb, c, ldc);
+  const bool fp16 = precision == GemmPrecision::FP16_FP32;
+  const auto load = [fp16](const float* p) {
+    return fp16 ? round_fp16(*p) : *p;
+  };
   const auto load_a = [&](index_t i, index_t l) {
-    const float* p = opa == Op::NoTrans ? &a[i + l * lda] : &a[l + i * lda];
-    return load_rounded(p, precision);
+    return load(kernel::op_element(opa, a, lda, i, l));
   };
   const auto load_b = [&](index_t l, index_t j) {
-    const float* p = opb == Op::NoTrans ? &b[l + j * ldb] : &b[j + l * ldb];
-    return load_rounded(p, precision);
+    return load(kernel::op_element(opb, b, ldb, l, j));
   };
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < m; ++i) {

@@ -5,6 +5,11 @@
 //  - FP16_FP32  : inputs rounded element-wise to IEEE binary16 before the
 //                 multiply, accumulation in fp32 — exactly the TensorCore
 //                 TC-GEMM numerical contract this reproduction studies.
+//                 Every kernel here rounds through blas::round_fp16 /
+//                 round_fp16_span (fp16_round.hpp), which equals
+//                 float(half(x)) bit for bit, NaNs included (canonical quiet
+//                 NaN). So gemm(FP16_FP32) is bitwise gemm(FP32) on operands
+//                 first rounded through half. alpha scales after rounding.
 //
 // The production path is a cache-blocked, packed kernel (register tile and
 // tiling parameters in gemm_kernel.hpp) parallelized over both output

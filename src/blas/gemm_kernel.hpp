@@ -12,9 +12,12 @@
 //         micro-kernel over every (kMR x kNR) tile of C
 //
 // The packed panels give the micro-kernel unit-stride, transpose-free,
-// precision-resolved inputs: fp16 rounding (GemmPrecision::FP16_FP32)
-// happens exactly once per element, on pack, so the inner loop is identical
-// for both precision paths — the same contract the seed kernel had.
+// precision-resolved inputs, so the inner loop is identical for both
+// precision paths. Under GemmPrecision::FP16_FP32 each strip is packed raw
+// and then rounded in place by one round_fp16_span pass (fp16_round.hpp:
+// F16C 8 lanes at a time where available, bit-identical to common::half,
+// NaNs canonicalized as half does); the FP32 path never rounds. B strips are
+// scaled by alpha only after that pass.
 //
 // Tiling parameters (all in floats):
 //   kMR x kNR  register tile, sized so the accumulator block plus one A
@@ -30,8 +33,8 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "blas/fp16_round.hpp"
 #include "blas/gemm.hpp"
-#include "common/half.hpp"
 #include "common/types.hpp"
 
 namespace rocqr::blas::kernel {
@@ -41,12 +44,6 @@ inline constexpr index_t kNR = 6;
 inline constexpr index_t kMC = 128;  // multiple of kMR
 inline constexpr index_t kKC = 256;
 inline constexpr index_t kNC = 1536; // multiple of kNR
-
-inline float load_rounded(const float* p, GemmPrecision precision) {
-  return precision == GemmPrecision::FP16_FP32
-             ? static_cast<float>(half(*p))
-             : *p;
-}
 
 /// op(X)(i, j) for X stored column-major with leading dimension ldx.
 inline const float* op_element(Op op, const float* x, index_t ldx, index_t i,
@@ -83,10 +80,13 @@ inline void pack_a(Op opa, GemmPrecision precision, const float* a,
     for (index_t l = 0; l < kb; ++l) {
       float* dst = strip + l * kMR;
       for (index_t i = 0; i < iv; ++i) {
-        dst[i] = load_rounded(
-            op_element(opa, a, lda, row0 + i0 + i, col0 + l), precision);
+        dst[i] = *op_element(opa, a, lda, row0 + i0 + i, col0 + l);
       }
       for (index_t i = iv; i < kMR; ++i) dst[i] = 0.0f;
+    }
+    // The strip is L1-resident here; the zero padding rounds to zero.
+    if (precision == GemmPrecision::FP16_FP32) {
+      round_fp16_span(strip, strip, kMR * kb);
     }
   }
 }
@@ -98,6 +98,9 @@ inline void pack_a(Op opa, GemmPrecision precision, const float* a,
 inline void pack_b(Op opb, GemmPrecision precision, float alpha,
                    const float* b, index_t ldb, index_t row0, index_t col0,
                    index_t kb, index_t nb, float* out) {
+  const bool fp16 = precision == GemmPrecision::FP16_FP32;
+  // On the fp16 path alpha waits until the strip has been rounded.
+  const float pack_scale = fp16 ? 1.0f : alpha;
   const index_t strips = b_strips(nb);
   for (index_t t = 0; t < strips; ++t) {
     const index_t j0 = t * kNR;
@@ -106,11 +109,19 @@ inline void pack_b(Op opb, GemmPrecision precision, float alpha,
     for (index_t l = 0; l < kb; ++l) {
       float* dst = strip + l * kNR;
       for (index_t j = 0; j < jv; ++j) {
-        dst[j] = alpha * load_rounded(
-                             op_element(opb, b, ldb, row0 + l, col0 + j0 + j),
-                             precision);
+        dst[j] = pack_scale *
+                 *op_element(opb, b, ldb, row0 + l, col0 + j0 + j);
       }
       for (index_t j = jv; j < kNR; ++j) dst[j] = 0.0f;
+    }
+    if (fp16) {
+      // Only the live columns are scaled: the padding stays zero whatever
+      // alpha is.
+      round_fp16_span(strip, strip, kNR * kb);
+      for (index_t l = 0; l < kb; ++l) {
+        float* dst = strip + l * kNR;
+        for (index_t j = 0; j < jv; ++j) dst[j] = alpha * dst[j];
+      }
     }
   }
 }

@@ -1,7 +1,7 @@
 #include "blas/transform.hpp"
 
+#include "blas/fp16_round.hpp"
 #include "common/error.hpp"
-#include "common/half.hpp"
 
 namespace rocqr::blas {
 
@@ -30,13 +30,18 @@ void transpose(index_t m, index_t n, const float* src, index_t ld_src,
 }
 
 void round_to_half(index_t m, index_t n, float* x, index_t ldx) {
+  ROCQR_CHECK(m >= 0 && n >= 0, "round_to_half: negative dimension");
+  ROCQR_CHECK(ldx >= (m > 0 ? m : 1),
+              "round_to_half: leading dimension too small");
   for (index_t j = 0; j < n; ++j) {
     float* col = x + j * ldx;
-    for (index_t i = 0; i < m; ++i) col[i] = static_cast<float>(half(col[i]));
+    round_fp16_span(col, col, m);
   }
 }
 
 void fill(index_t m, index_t n, float value, float* x, index_t ldx) {
+  ROCQR_CHECK(m >= 0 && n >= 0, "fill: negative dimension");
+  ROCQR_CHECK(ldx >= (m > 0 ? m : 1), "fill: leading dimension too small");
   for (index_t j = 0; j < n; ++j) {
     float* col = x + j * ldx;
     for (index_t i = 0; i < m; ++i) col[i] = value;
@@ -44,6 +49,9 @@ void fill(index_t m, index_t n, float value, float* x, index_t ldx) {
 }
 
 void zero_lower_triangle(index_t m, index_t n, float* x, index_t ldx) {
+  ROCQR_CHECK(m >= 0 && n >= 0, "zero_lower_triangle: negative dimension");
+  ROCQR_CHECK(ldx >= (m > 0 ? m : 1),
+              "zero_lower_triangle: leading dimension too small");
   for (index_t j = 0; j < n; ++j) {
     float* col = x + j * ldx;
     for (index_t i = j + 1; i < m; ++i) col[i] = 0.0f;

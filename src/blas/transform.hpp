@@ -14,8 +14,13 @@ void copy_matrix(index_t m, index_t n, const float* src, index_t ld_src,
 void transpose(index_t m, index_t n, const float* src, index_t ld_src,
                float* dst, index_t ld_dst);
 
+// The in-place transforms below take an m x n block with leading dimension
+// ldx and, like copy_matrix, throw InvalidArgument on a negative m or n or
+// on ldx < max(1, m).
+
 /// In-place element-wise rounding through IEEE binary16 (simulates storing
-/// a tile in fp16 on the device and reading it back).
+/// a tile in fp16 on the device and reading it back): round_fp16_span
+/// (fp16_round.hpp) over each column, bit-identical to common::half.
 void round_to_half(index_t m, index_t n, float* x, index_t ldx);
 
 /// Fills with a constant.

@@ -692,7 +692,9 @@ void Scheduler::worker(int device_index) {
         if (device_health_[du] == DeviceHealth::Dead) return;
         release_arrivals_locked();
         Job* candidate = dispatchable_locked();
-        if (candidate != nullptr &&
+        // A running gang holds this device although another worker started
+        // it: dispatching here would run two jobs on one device at once.
+        if (candidate != nullptr && device_busy_[du] == 0 &&
             may_act_locked(device_index, device_avail_[du])) {
           job = candidate;
           break;

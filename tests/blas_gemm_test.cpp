@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -134,6 +136,99 @@ TEST(Gemm, Fp16PathRoundsInputs) {
              0.0f, c.data(), 1, blas::GemmPrecision::FP16_FP32);
   EXPECT_EQ(c(0, 0), float(half(a(0, 0))));
   EXPECT_NE(c(0, 0), a(0, 0));
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+float from_bits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+/// Element-wise float(half(x)) through common::half, the rounding oracle.
+la::Matrix half_rounded(const la::Matrix& x) {
+  la::Matrix r = la::materialize(x.view());
+  for (index_t j = 0; j < r.cols(); ++j) {
+    for (index_t i = 0; i < r.rows(); ++i) r(i, j) = float(half(r(i, j)));
+  }
+  return r;
+}
+
+// The fp16 path differs from fp32 only in rounding the operands on pack:
+// gemm(FP16_FP32) must equal, bit for bit, gemm(FP32) run on operands that
+// were first rounded through half. Payload NaNs (which half canonicalizes)
+// and overflow-edge values carry the rounding's special cases end to end;
+// m, n, k leave ragged kMR/kNR tiles and cross the kMC/kKC block edges. The
+// baseline kernel (whole-operand pack) and the reference obey the same rule.
+TEST(Gemm, Fp16PathEqualsFp32OnHalfRoundedOperands) {
+  const index_t m = 137;
+  const index_t n = 29;
+  const index_t k = 301;
+  const float payload_nan = from_bits(0x7fc12345u);
+  using GemmFn = void (*)(Op, Op, index_t, index_t, index_t, float,
+                          const float*, index_t, const float*, index_t, float,
+                          float*, index_t, GemmPrecision);
+  const GemmFn kernels[] = {
+      [](Op opa, Op opb, index_t mm, index_t nn, index_t kk, float alpha,
+         const float* a, index_t lda, const float* b, index_t ldb, float beta,
+         float* c, index_t ldc, GemmPrecision p) {
+        blas::gemm(opa, opb, mm, nn, kk, alpha, a, lda, b, ldb, beta, c, ldc,
+                   p);
+      },
+      [](Op opa, Op opb, index_t mm, index_t nn, index_t kk, float alpha,
+         const float* a, index_t lda, const float* b, index_t ldb, float beta,
+         float* c, index_t ldc, GemmPrecision p) {
+        blas::gemm_baseline(opa, opb, mm, nn, kk, alpha, a, lda, b, ldb, beta,
+                            c, ldc, p);
+      },
+      &blas::gemm_reference,
+  };
+  for (Op opa : {Op::NoTrans, Op::Trans}) {
+    for (Op opb : {Op::NoTrans, Op::Trans}) {
+      la::Matrix a = make_operand(opa, m, k, 11);
+      la::Matrix b = make_operand(opb, k, n, 12);
+      // A few specials; each poisons one row or column of C, the rest of C
+      // stays finite and is compared bit for bit as well.
+      a(0, 0) = payload_nan;
+      a(3, 2) = std::nextafter(65520.0f, 0.0f); // rounds to 65504
+      a(5, 1) = -65520.0f;                      // rounds to -inf
+      b(1, 4) = -payload_nan;
+      b(2, 0) = 65519.0f; // rounds to 65504
+      // Rounds to inf, so alpha * inf; scaling before rounding would not.
+      b(3, 2) = 65520.0f;
+      const la::Matrix a_r = half_rounded(a);
+      const la::Matrix b_r = half_rounded(b);
+      for (float alpha : {1.0f, -0.5f}) {
+        for (float beta : {0.0f, 1.0f}) {
+          for (size_t kern = 0; kern < std::size(kernels); ++kern) {
+            la::Matrix c16 = la::random_uniform(m, n, 13);
+            la::Matrix c32 = la::materialize(c16.view());
+            kernels[kern](opa, opb, m, n, k, alpha, a.data(), a.ld(), b.data(),
+                          b.ld(), beta, c16.data(), c16.ld(),
+                          GemmPrecision::FP16_FP32);
+            kernels[kern](opa, opb, m, n, k, alpha, a_r.data(), a_r.ld(),
+                          b_r.data(), b_r.ld(), beta, c32.data(), c32.ld(),
+                          GemmPrecision::FP32);
+            index_t mismatches = 0;
+            for (index_t j = 0; j < n; ++j) {
+              for (index_t i = 0; i < m; ++i) {
+                if (bits_of(c16(i, j)) != bits_of(c32(i, j))) ++mismatches;
+              }
+            }
+            EXPECT_EQ(mismatches, 0)
+                << "kernel " << kern << " opa=" << static_cast<int>(opa)
+                << " opb=" << static_cast<int>(opb) << " alpha=" << alpha
+                << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Gemm, SubviewLeadingDimensions) {

@@ -217,5 +217,25 @@ TEST(Transform, FillAndZeroLowerTriangle) {
   EXPECT_FLOAT_EQ(a(2, 2), 7.0f);
 }
 
+TEST(Transform, InPlaceTransformsRejectBadDimensions) {
+  la::Matrix a(4, 3);
+  float* x = a.data();
+  EXPECT_THROW(blas::round_to_half(-1, 3, x, 4), InvalidArgument);
+  EXPECT_THROW(blas::round_to_half(4, -1, x, 4), InvalidArgument);
+  EXPECT_THROW(blas::round_to_half(4, 3, x, 3), InvalidArgument);
+  EXPECT_THROW(blas::fill(-1, 3, 0.0f, x, 4), InvalidArgument);
+  EXPECT_THROW(blas::fill(4, -2, 0.0f, x, 4), InvalidArgument);
+  EXPECT_THROW(blas::fill(4, 3, 0.0f, x, 2), InvalidArgument);
+  EXPECT_THROW(blas::zero_lower_triangle(-1, 3, x, 4), InvalidArgument);
+  EXPECT_THROW(blas::zero_lower_triangle(4, -1, x, 4), InvalidArgument);
+  EXPECT_THROW(blas::zero_lower_triangle(4, 3, x, 1), InvalidArgument);
+  // ldx must be at least 1 even for an empty block, as in copy_matrix.
+  EXPECT_THROW(blas::fill(0, 3, 0.0f, x, 0), InvalidArgument);
+  // Empty blocks with a valid ldx are no-ops.
+  EXPECT_NO_THROW(blas::round_to_half(0, 3, x, 1));
+  EXPECT_NO_THROW(blas::fill(4, 0, 1.0f, x, 4));
+  EXPECT_NO_THROW(blas::zero_lower_triangle(0, 0, x, 1));
+}
+
 } // namespace
 } // namespace rocqr

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <map>
 
 #include "blas/gemm.hpp"
@@ -81,6 +83,27 @@ TEST(Device, Fp16StorageRoundsOnArrival) {
   dev.copy_d2h(back.view(), d, st);
   EXPECT_EQ(back(0, 0), float(half(host(0, 0))));
   EXPECT_NE(back(0, 0), host(0, 0));
+}
+
+TEST(Device, Fp16StorageCanonicalizesNaNPayloads) {
+  // fp16 storage keeps no NaN payload: whatever NaN arrives, the device
+  // holds half's canonical quiet NaN (sign | 0x7fc00000 once widened).
+  Device dev(tiny_spec(), ExecutionMode::Real);
+  la::Matrix host(3, 1);
+  const std::uint32_t in[3] = {0x7fc12345u, 0xffa00001u, 0x3f800000u};
+  for (index_t i = 0; i < 3; ++i) std::memcpy(&host(i, 0), &in[i], 4);
+  DeviceMatrix d = dev.allocate(3, 1, StoragePrecision::FP16);
+  Stream st = dev.create_stream();
+  dev.copy_h2d(d, host.view(), st);
+  la::Matrix back(3, 1);
+  dev.copy_d2h(back.view(), d, st);
+  dev.synchronize();
+  const std::uint32_t want[3] = {0x7fc00000u, 0xffc00000u, 0x3f800000u};
+  for (index_t i = 0; i < 3; ++i) {
+    std::uint32_t got;
+    std::memcpy(&got, &back(i, 0), 4);
+    EXPECT_EQ(got, want[i]) << "row " << i;
+  }
 }
 
 TEST(Device, SubBlockTransfers) {
