@@ -1204,25 +1204,29 @@ std::vector<QrStats> run_fused_batch(Device& dev,
   }
 
   dev.synchronize();
-  // Even 1/K attribution of the fused window's volume aggregates — exact,
-  // because the K jobs are identical in shape and arithmetic. Span fields
-  // (first_start/last_end/total_seconds) and the device peak stay whole,
-  // matching the colocated path's per-member attribution semantics.
-  const QrStats whole =
-      stats_from_trace(dev.trace(), window, dev.memory_peak());
-  QrStats per = whole;
-  const auto k = static_cast<double>(jobs.size());
-  per.panel_seconds /= k;
-  per.gemm_seconds /= k;
-  per.d2d_seconds /= k;
-  per.h2d_seconds /= k;
-  per.d2h_seconds /= k;
-  per.compute_seconds /= k;
-  per.bytes_h2d = static_cast<bytes_t>(static_cast<double>(whole.bytes_h2d) / k);
-  per.bytes_d2h = static_cast<bytes_t>(static_cast<double>(whole.bytes_d2h) / k);
-  per.bytes_d2d = static_cast<bytes_t>(static_cast<double>(whole.bytes_d2d) / k);
-  per.flops = static_cast<flops_t>(static_cast<double>(whole.flops) / k);
-  return std::vector<QrStats>(jobs.size(), per);
+  return std::vector<QrStats>(
+      jobs.size(),
+      split_fused_stats(
+          stats_from_trace(dev.trace(), window, dev.memory_peak()),
+          static_cast<int>(jobs.size())));
+}
+
+QrStats split_fused_stats(QrStats whole, int members) {
+  const auto k = static_cast<double>(members);
+  whole.panel_seconds /= k;
+  whole.gemm_seconds /= k;
+  whole.d2d_seconds /= k;
+  whole.h2d_seconds /= k;
+  whole.d2h_seconds /= k;
+  whole.compute_seconds /= k;
+  whole.bytes_h2d =
+      static_cast<bytes_t>(static_cast<double>(whole.bytes_h2d) / k);
+  whole.bytes_d2h =
+      static_cast<bytes_t>(static_cast<double>(whole.bytes_d2h) / k);
+  whole.bytes_d2d =
+      static_cast<bytes_t>(static_cast<double>(whole.bytes_d2d) / k);
+  whole.flops = static_cast<flops_t>(static_cast<double>(whole.flops) / k);
+  return whole;
 }
 
 } // namespace rocqr::qr::detail

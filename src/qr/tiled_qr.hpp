@@ -88,4 +88,10 @@ QrStats run_tiled(sim::Device& dev, sim::HostMutRef a, sim::HostMutRef r,
 std::vector<QrStats> run_fused_batch(sim::Device& dev,
                                      const std::vector<BatchJob>& jobs);
 
+/// One member's share of a fused window's stats: volume aggregates divide
+/// evenly by `members` (exact, since fused jobs are identical in shape and
+/// arithmetic); span fields and the device peak stay whole, because every
+/// member occupied the device for the whole fused window.
+QrStats split_fused_stats(QrStats whole, int members);
+
 } // namespace rocqr::qr::detail

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "common/error.hpp"
@@ -68,9 +69,9 @@ bool colocatable_algorithm(const std::string& algorithm) {
 }
 
 /// Inverse of snapshot_host: writes a checkpoint payload back into the
-/// job's host ref (no-op for phantom refs). The colocated batch path
-/// restores here because qr::detail::run_batch — unlike qr::resume —
-/// takes already-restored host data plus per-job resume_units.
+/// job's host ref (no-op for phantom refs). Batched attempts restore here
+/// because the batch runners — unlike qr::resume — take already-restored
+/// host data plus per-job resume_units.
 void restore_host(sim::HostMutRef dst, const std::vector<float>& src) {
   if (dst.data == nullptr) return;
   for (index_t j = 0; j < dst.cols; ++j) {
@@ -81,34 +82,20 @@ void restore_host(sim::HostMutRef dst, const std::vector<float>& src) {
   }
 }
 
+/// The op-name prefix that labels one job's ops in a shared task graph
+/// (qr::detail::BatchJob::label), and so attributes them back to it.
+std::string job_label(int id) {
+  std::string label = "j";
+  label += std::to_string(id);
+  label += '.';
+  return label;
+}
+
 /// Folds one attempt's trace window into the job's running total. The
 /// busy/volume fields sum; total_seconds accumulates the attempt spans
 /// (device time consumed, including work a preemption discarded) rather
 /// than re-deriving last_end - first_start across attempts, which would
 /// count the queued gaps between them.
-/// Even 1/K attribution of a fused window (mirrors the split
-/// qr::detail::run_fused_batch returns): volume aggregates divide by K,
-/// span fields and the device peak stay whole — the member occupied the
-/// device for the whole fused window, matching the colocated path's
-/// per-member attribution semantics.
-qr::QrStats split_fused_stats(qr::QrStats whole, int members) {
-  const auto k = static_cast<double>(members);
-  whole.panel_seconds /= k;
-  whole.gemm_seconds /= k;
-  whole.d2d_seconds /= k;
-  whole.h2d_seconds /= k;
-  whole.d2h_seconds /= k;
-  whole.compute_seconds /= k;
-  whole.bytes_h2d =
-      static_cast<bytes_t>(static_cast<double>(whole.bytes_h2d) / k);
-  whole.bytes_d2h =
-      static_cast<bytes_t>(static_cast<double>(whole.bytes_d2h) / k);
-  whole.bytes_d2d =
-      static_cast<bytes_t>(static_cast<double>(whole.bytes_d2d) / k);
-  whole.flops = static_cast<flops_t>(static_cast<double>(whole.flops) / k);
-  return whole;
-}
-
 void accumulate_stats(qr::QrStats& into, const qr::QrStats& s) {
   const bool had_events = into.events > 0;
   into.panel_seconds += s.panel_seconds;
@@ -150,10 +137,10 @@ struct Scheduler::Job {
   int retries = 0;
   int migrations = 0;
   int last_device = -1;
-  /// Gang only: the (alive) devices acquired at the current dispatch.
-  std::vector<int> gang_devices;
-  /// Per-attempt trace cursor(s) for the watchdog scan: one entry on
-  /// last_device for solo/colocated attempts, one per gang member.
+  /// Devices held by the current attempt: one, or every alive device for a
+  /// gang.
+  std::vector<int> devices;
+  /// Per-device trace cursors of the watchdog scan, parallel to `devices`.
   std::vector<size_t> watch_from;
   /// Arrival gate opened (arrival_after_units reached).
   bool arrived = false;
@@ -163,8 +150,7 @@ struct Scheduler::Job {
   bool has_checkpoint = false;
   /// Latest consistent state: the initial snapshot before the first
   /// dispatch, then every checkpoint the driver writes. All attempts start
-  /// from here via qr::resume (or, colocated, run_batch with
-  /// resume_units).
+  /// from here via qr::resume (or, batched, with resume_units).
   qr::Checkpoint checkpoint;
   qr::QrStats stats{};
   double queue_wait_seconds = 0;
@@ -173,6 +159,32 @@ struct Scheduler::Job {
   /// published availability bound at that moment. Dispatch charges
   /// max(0, device bound - ready_sim) as the queueing episode's exact wait.
   double ready_sim = 0;
+
+  bool ready() const {
+    return (state == JobState::Queued && arrived) ||
+           state == JobState::Preempted;
+  }
+  index_t units_done() const {
+    return has_checkpoint ? checkpoint.units_done : 0;
+  }
+};
+
+/// One dispatch: the devices it holds, the member jobs it runs, and the
+/// runner. Every batching mode is this one record; the kinds differ only
+/// in the runner and in how the trace windows are attributed to members.
+struct Scheduler::Attempt {
+  enum class Kind {
+    Solo,      ///< one job on one device: qr::resume; the whole window
+    Colocated, ///< one task graph: run_batch; window filtered by "j<id>."
+    Fused,     ///< batched node program: run_fused_batch; even 1/K split
+    Gang,      ///< tsqr over the alive fleet: qr::resume over the fleet;
+               ///< qr::combine_device_stats over the member devices
+  };
+  Kind kind = Kind::Solo;
+  std::vector<int> devices;
+  std::vector<Job*> members;
+  /// Trace size of each held device at dispatch: the attempt's windows.
+  std::vector<size_t> windows;
 };
 
 /// Per-attempt checkpoint sink: records progress on the job and doubles as
@@ -282,6 +294,7 @@ FleetReport Scheduler::run() {
     std::lock_guard<std::mutex> lk(mutex_);
     device_avail_.assign(static_cast<size_t>(cfg_.devices), 0.0);
     device_busy_.assign(static_cast<size_t>(cfg_.devices), 0);
+    trace_folded_.assign(static_cast<size_t>(cfg_.devices), 0);
     device_health_.assign(static_cast<size_t>(cfg_.devices),
                           DeviceHealth::Healthy);
     device_failures_.assign(static_cast<size_t>(cfg_.devices), 0);
@@ -353,9 +366,7 @@ Scheduler::Job* Scheduler::pick_locked() const {
   Job* best = nullptr;
   for (const auto& up : jobs_) {
     Job& job = *up;
-    const bool ready = (job.state == JobState::Queued && job.arrived) ||
-                       job.state == JobState::Preempted;
-    if (!ready) continue;
+    if (!job.ready()) continue;
     if (best == nullptr) {
       best = &job;
       continue;
@@ -550,28 +561,20 @@ void Scheduler::migrate_locked(Job& job, const std::string& failure) {
 }
 
 int Scheduler::watchdog_tripped_locked(Job& job) {
-  if (cfg_.watchdog_timeout <= 0 || job.watch_from.empty()) return -1;
-  const auto scan = [&](int device, size_t& from) {
+  if (cfg_.watchdog_timeout <= 0) return -1;
+  for (size_t g = 0; g < job.devices.size(); ++g) {
     const auto& events =
-        devices_[static_cast<size_t>(device)]->trace().events();
+        devices_[static_cast<size_t>(job.devices[g])]->trace().events();
+    size_t& from = job.watch_from[g];
     for (size_t i = from; i < events.size(); ++i) {
       if (events[i].end - events[i].start > cfg_.watchdog_timeout) {
         from = i + 1;
-        return true;
+        return job.devices[g];
       }
     }
     from = events.size();
-    return false;
-  };
-  if (job.gang) {
-    for (size_t g = 0; g < job.gang_devices.size(); ++g) {
-      if (scan(job.gang_devices[g], job.watch_from[g])) {
-        return job.gang_devices[g];
-      }
-    }
-    return -1;
   }
-  return scan(job.last_device, job.watch_from[0]) ? job.last_device : -1;
+  return -1;
 }
 
 void Scheduler::maybe_preempt_locked() {
@@ -618,61 +621,46 @@ void Scheduler::on_unit_completed(Job& job, const qr::Checkpoint& cp) {
   qr::Checkpoint copy = cp;
   bool unwind = false;
   int wd = -1;
-  if (job.gang) {
-    // The gang owns every device, so there is no concurrent activity to
-    // order against: publish all the availability bounds and act at once
-    // (waiting on may_act here would deadlock — the "other" devices are
-    // this very job's).
+  {
     std::unique_lock<std::mutex> lk(mutex_);
-    for (int e = 0; e < cfg_.devices; ++e) {
-      const auto eu = static_cast<size_t>(e);
-      const double t =
-          qr::stats_from_trace(devices_[eu]->trace(), 0, 0).last_end;
-      device_avail_[eu] = std::max(device_avail_[eu], t);
+    // The driver synchronized before checkpointing, so each held device's
+    // trace end is its simulated "now". Publish the new bounds first (it
+    // lets devices waiting on us proceed). Only the events added since the
+    // last checkpoint are folded in: the bound is a running maximum, and a
+    // rescan of the whole trace per checkpoint is quadratic in its length.
+    for (const int d : job.devices) {
+      const auto du = static_cast<size_t>(d);
+      const auto& events = devices_[du]->trace().events();
+      for (size_t& i = trace_folded_[du]; i < events.size(); ++i) {
+        device_avail_[du] = std::max(device_avail_[du], events[i].end);
+      }
     }
     job.checkpoint = std::move(copy);
     job.has_checkpoint = true;
-    ++fleet_units_;
-    release_arrivals_locked();
-    maybe_preempt_locked();
-    // tsqr checkpoints are per-leaf (columns_done == 0 until the driver
-    // returns), so a requested preemption always unwinds: the reduction
-    // tree and reconstruction sweep still lie ahead.
-    unwind = job.preempt_requested;
-    wd = watchdog_tripped_locked(job);
-    lk.unlock();
-    counter("serve.units_completed").increment();
-    cv_.notify_all();
-    // A watchdog trip outranks a preemption: the attempt must unwind as a
-    // device failure, not park as resumable-by-priority.
-    if (wd >= 0) throw WatchdogTrip{wd};
-    if (unwind) throw PreemptRequest{};
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lk(mutex_);
-    const int d = job.last_device;
-    const auto du = static_cast<size_t>(d);
-    // The driver synchronized before checkpointing, so the trace end is
-    // this device's simulated "now". Publish the new bound first (it lets
-    // devices waiting on us proceed), then wait for our turn in global
-    // simulated-time order before acting on the event.
-    const double t = qr::stats_from_trace(devices_[du]->trace(), 0, 0).last_end;
-    device_avail_[du] = std::max(device_avail_[du], t);
-    job.checkpoint = std::move(copy);
-    job.has_checkpoint = true;
-    cv_.notify_all();
-    while (!may_act_locked(d, device_avail_[du])) cv_.wait(lk);
+    if (job.devices.size() == 1) {
+      // Wait for our turn in global simulated-time order before acting on
+      // the event. A gang skips this: it holds every device it would wait
+      // on, so waiting would deadlock on itself.
+      const auto du = static_cast<size_t>(job.devices.front());
+      cv_.notify_all();
+      while (!may_act_locked(job.devices.front(), device_avail_[du])) {
+        cv_.wait(lk);
+      }
+    }
     ++fleet_units_;
     release_arrivals_locked();
     maybe_preempt_locked();
     // Never yield on the final checkpoint: the factorization is complete,
-    // preempting would only discard a finished job.
+    // preempting would only discard a finished job. (tsqr checkpoints are
+    // per-leaf with columns_done == 0, so a gang always unwinds: the
+    // reduction tree and reconstruction sweep still lie ahead.)
     unwind = job.preempt_requested && cp.columns_done < cp.n;
     wd = watchdog_tripped_locked(job);
   }
   counter("serve.units_completed").increment();
   cv_.notify_all();
+  // A watchdog trip outranks a preemption: the attempt must unwind as a
+  // device failure, not park as resumable-by-priority.
   if (wd >= 0) throw WatchdogTrip{wd};
   if (unwind) throw PreemptRequest{};
 }
@@ -680,11 +668,10 @@ void Scheduler::on_unit_completed(Job& job, const qr::Checkpoint& cp) {
 void Scheduler::worker(int device_index) {
   const auto du = static_cast<size_t>(device_index);
   for (;;) {
-    Job* job = nullptr;
-    std::vector<Job*> batch;
-    bool fused = false;
+    Attempt at;
     {
       std::unique_lock<std::mutex> lk(mutex_);
+      Job* job = nullptr;
       for (;;) {
         // A dead device never hosts work again; its worker retires. The
         // surviving workers keep draining the queue (including whatever
@@ -709,120 +696,73 @@ void Scheduler::worker(int device_index) {
         }
         cv_.wait(lk);
       }
-      batch.push_back(job);
-      if (!job->gang && job->spec.algorithm == "blocking" &&
-          job->spec.deadline_seconds <= 0 && !job->spec.options.abft &&
-          cfg_.max_fused_jobs > 1) {
-        // Batched small-QR coalescing: claim further ready jobs identical
-        // to the primary (shape, blocksize, precision, panel options,
-        // checkpoint position — run_fused_batch's fusion contract) and
-        // dispatch them as ONE block-diagonal batched node program, paying
-        // each round's fixed per-op latencies once instead of once per
-        // job. Same guards as colocation: deadline-free members only, the
-        // summed predicted peaks must fit the admission budget, and only
-        // when the ready queue outnumbers the idle devices. ABFT jobs
+      at.members.push_back(job);
+      if (job->gang) {
+        // Atomic acquisition of the surviving fleet: dispatchable_locked
+        // only returned the gang with every device idle, so marking them
+        // all busy under this lock cannot race another dispatch. Dead
+        // devices are excluded — a re-planned gang runs on the survivors.
+        at.kind = Attempt::Kind::Gang;
+        for (int e = 0; e < cfg_.devices; ++e) {
+          if (device_health_[static_cast<size_t>(e)] != DeviceHealth::Dead) {
+            at.devices.push_back(e);
+          }
+        }
+        gang_active_ = true;
+      } else {
+        at.devices.push_back(device_index);
+        // Batched small-QR coalescing, tried first: further ready jobs
+        // identical to the primary (shape, blocksize, precision, panel
+        // options, checkpoint position — run_fused_batch's contract) run as
+        // ONE block-diagonal batched node program, paying each round's
+        // fixed per-op latencies once instead of once per job. ABFT jobs
         // cannot fuse (the batched GEMM carries no per-job checksum).
-        int ready_jobs = 0;
-        for (const auto& up : jobs_) {
-          const Job& j = *up;
-          if ((j.state == JobState::Queued && j.arrived) ||
-              j.state == JobState::Preempted) {
-            ++ready_jobs;
-          }
+        const auto fusable = [](const Job& j) {
+          return j.spec.algorithm == "blocking" &&
+                 j.spec.deadline_seconds <= 0 && !j.spec.options.abft;
+        };
+        // Deadline jobs never share a device: their admission prediction
+        // assumed a dedicated one.
+        const auto colocatable = [](const Job& j) {
+          return colocatable_algorithm(j.spec.algorithm) &&
+                 j.spec.deadline_seconds <= 0;
+        };
+        if (fusable(*job)) {
+          claim_extras_locked(at, cfg_.max_fused_jobs, [&](const Job& e) {
+            return fusable(e) && e.spec.m == job->spec.m &&
+                   e.spec.n == job->spec.n && e.blocksize == job->blocksize &&
+                   e.spec.precision == job->spec.precision &&
+                   e.spec.options.panel_algorithm ==
+                       job->spec.options.panel_algorithm &&
+                   e.spec.options.panel_base == job->spec.options.panel_base &&
+                   e.units_done() == job->units_done();
+          });
         }
-        int idle_devices = 0;
-        for (const char busy : device_busy_) idle_devices += busy == 0;
-        int surplus = ready_jobs - idle_devices;
-        const auto budget = static_cast<bytes_t>(
-            cfg_.admission_memory_fraction *
-            static_cast<double>(cfg_.spec.memory_capacity));
-        bytes_t used = job->predicted_peak_bytes;
-        const index_t units0 =
-            job->has_checkpoint ? job->checkpoint.units_done : 0;
-        for (const auto& up : jobs_) {
-          if (static_cast<int>(batch.size()) >= cfg_.max_fused_jobs ||
-              surplus <= 0) {
-            break;
-          }
-          Job& extra = *up;
-          if (&extra == job || extra.spec.algorithm != "blocking") continue;
-          if (extra.spec.deadline_seconds > 0 || extra.spec.options.abft) {
-            continue;
-          }
-          const bool ready =
-              (extra.state == JobState::Queued && extra.arrived) ||
-              extra.state == JobState::Preempted;
-          if (!ready) continue;
-          if (extra.spec.m != job->spec.m || extra.spec.n != job->spec.n ||
-              extra.blocksize != job->blocksize ||
-              extra.spec.precision != job->spec.precision ||
-              extra.spec.options.panel_algorithm !=
-                  job->spec.options.panel_algorithm ||
-              extra.spec.options.panel_base != job->spec.options.panel_base) {
-            continue;
-          }
-          const index_t eunits =
-              extra.has_checkpoint ? extra.checkpoint.units_done : 0;
-          if (eunits != units0) continue;
-          if (used + extra.predicted_peak_bytes > budget) continue;
-          used += extra.predicted_peak_bytes;
-          --surplus;
-          batch.push_back(&extra);
-        }
-        fused = batch.size() > 1;
-      }
-      if (!fused && !job->gang &&
-          colocatable_algorithm(job->spec.algorithm) &&
-          job->spec.deadline_seconds <= 0 && cfg_.max_colocated_jobs > 1) {
-        // DAG multi-tenancy: claim further ready single-device jobs
-        // (tiled, blocking, or left — mixed freely) for the same device
-        // while their summed predicted peaks fit the admission budget.
-        // They run as one task graph (run_batch), so they must share the
-        // primary's precision (the graph-level knobs come from one options
-        // set). Only pack when the queue outnumbers the idle devices —
-        // with a free device per ready job, exclusive ownership is
-        // strictly faster — and leave deadline jobs alone (their admission
-        // prediction assumed a dedicated device).
-        int ready_jobs = 0;
-        for (const auto& up : jobs_) {
-          const Job& j = *up;
-          if ((j.state == JobState::Queued && j.arrived) ||
-              j.state == JobState::Preempted) {
-            ++ready_jobs;
-          }
-        }
-        int idle_devices = 0;
-        for (const char busy : device_busy_) idle_devices += busy == 0;
-        int surplus = ready_jobs - idle_devices;
-        const auto budget = static_cast<bytes_t>(
-            cfg_.admission_memory_fraction *
-            static_cast<double>(cfg_.spec.memory_capacity));
-        bytes_t used = job->predicted_peak_bytes;
-        for (const auto& up : jobs_) {
-          if (static_cast<int>(batch.size()) >= cfg_.max_colocated_jobs ||
-              surplus <= 0) {
-            break;
-          }
-          Job& extra = *up;
-          if (&extra == job || !colocatable_algorithm(extra.spec.algorithm)) {
-            continue;
-          }
-          if (extra.spec.deadline_seconds > 0) continue;
-          const bool ready =
-              (extra.state == JobState::Queued && extra.arrived) ||
-              extra.state == JobState::Preempted;
-          if (!ready || extra.spec.precision != job->spec.precision) continue;
-          if (used + extra.predicted_peak_bytes > budget) continue;
-          used += extra.predicted_peak_bytes;
-          --surplus;
-          batch.push_back(&extra);
+        if (at.members.size() > 1) {
+          at.kind = Attempt::Kind::Fused;
+        } else if (colocatable(*job)) {
+          // DAG multi-tenancy: further ready single-device jobs (tiled,
+          // blocking, or left — mixed freely) share the device as one task
+          // graph (run_batch), so they must share the primary's precision
+          // (the graph-level knobs come from one options set).
+          claim_extras_locked(at, cfg_.max_colocated_jobs, [&](const Job& e) {
+            return colocatable(e) && e.spec.precision == job->spec.precision;
+          });
+          if (at.members.size() > 1) at.kind = Attempt::Kind::Colocated;
         }
       }
-      for (Job* member : batch) {
+      for (const int d : at.devices) {
+        device_busy_[static_cast<size_t>(d)] = 1;
+        at.windows.push_back(devices_[static_cast<size_t>(d)]->trace().size());
+      }
+      running_ += static_cast<int>(at.devices.size());
+      for (Job* member : at.members) {
         member->state = JobState::Running;
         member->preempt_requested = false;
         ++member->attempts;
         member->last_device = device_index;
+        member->devices = at.devices;
+        member->watch_from = at.windows;
         // Exact simulated queue wait of this episode: the dispatching
         // device's availability bound is the dispatch instant. Recorded
         // exactly (FleetReport percentiles) and quantized into the live
@@ -835,436 +775,240 @@ void Scheduler::worker(int device_index) {
             .histogram("serve.queue_wait_us")
             .observe(static_cast<std::int64_t>(waited * 1e6));
       }
-      if (job->gang) {
-        // Atomic acquisition of the surviving fleet: dispatchable_locked
-        // only returned the gang with every device idle, so marking them
-        // all busy under this lock cannot race another dispatch. Dead
-        // devices are excluded — a re-planned gang runs on the survivors.
-        gang_active_ = true;
-        job->gang_devices.clear();
-        for (int e = 0; e < cfg_.devices; ++e) {
-          if (device_health_[static_cast<size_t>(e)] == DeviceHealth::Dead) {
-            continue;
-          }
-          job->gang_devices.push_back(e);
-          device_busy_[static_cast<size_t>(e)] = 1;
-        }
-        running_ += static_cast<int>(job->gang_devices.size());
-      } else {
-        ++running_;
-        device_busy_[du] = 1;
-      }
       cv_.notify_all();
     }
-    if (job->gang) {
-      run_gang_attempt(*job);
-    } else if (fused) {
-      run_fused_attempt(device_index, batch);
-    } else if (batch.size() > 1) {
-      run_colocated_attempt(device_index, batch);
-    } else {
-      run_attempt(device_index, *job);
-    }
+    run_attempt(at);
   }
 }
 
-void Scheduler::run_attempt(int device_index, Job& job) {
-  sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  const size_t window = dev.trace().size();
-  PreemptSink sink(*this, job);
+void Scheduler::claim_extras_locked(
+    Attempt& at, int cap, const std::function<bool(const Job&)>& compatible) {
+  if (static_cast<int>(at.members.size()) >= cap) return;
+  // Only pack when the ready queue outnumbers the idle devices — with a
+  // free device per ready job, exclusive ownership is strictly faster — and
+  // only while the summed predicted peaks fit the admission budget.
+  int surplus = 0;
+  for (const auto& up : jobs_) surplus += up->ready();
+  for (const char busy : device_busy_) surplus -= busy == 0;
+  const auto budget = static_cast<bytes_t>(
+      cfg_.admission_memory_fraction *
+      static_cast<double>(cfg_.spec.memory_capacity));
+  const Job* primary = at.members.front();
+  bytes_t used = primary->predicted_peak_bytes;
+  for (const auto& up : jobs_) {
+    if (static_cast<int>(at.members.size()) >= cap || surplus <= 0) break;
+    Job& extra = *up;
+    if (&extra == primary || !extra.ready() || !compatible(extra)) continue;
+    if (used + extra.predicted_peak_bytes > budget) continue;
+    used += extra.predicted_peak_bytes;
+    --surplus;
+    at.members.push_back(&extra);
+  }
+}
 
-  qr::QrOptions opts = job.spec.options;
-  opts.blocksize = job.blocksize;
-  opts.precision = job.spec.precision;
-  opts.checkpoint_sink = &sink;
-  opts.checkpoint_every = cfg_.checkpoint_every;
-  opts.resume_units = 0;
-
-  sim::HostMutRef a = job.spec.a.data != nullptr
-                          ? job.spec.a
-                          : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-  sim::HostMutRef r = job.spec.r.data != nullptr
-                          ? job.spec.r
-                          : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-
-  // Every attempt — including the first — starts from the job's latest
-  // consistent state via qr::resume, so preemption resumes and fault
-  // retries share one path. The unit-0 "checkpoint" snapshots the pristine
-  // inputs: a Real-mode retry must not re-factor a half-mutated A.
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!job.has_checkpoint) {
-      qr::Checkpoint cp0;
-      cp0.driver = job.spec.algorithm;
-      cp0.m = job.spec.m;
-      cp0.n = job.spec.n;
-      cp0.blocksize = job.blocksize;
-      cp0.columns_done = 0;
-      cp0.units_done = 0;
-      cp0.a = snapshot_host(a);
-      cp0.r = snapshot_host(r);
-      job.checkpoint = std::move(cp0);
-      job.has_checkpoint = true;
+void Scheduler::run_attempt(const Attempt& at) {
+  std::vector<sim::Device*> devs;
+  for (const int d : at.devices) {
+    devs.push_back(devices_[static_cast<size_t>(d)].get());
+  }
+  const bool batched = at.kind == Attempt::Kind::Colocated ||
+                       at.kind == Attempt::Kind::Fused;
+  // Per-member sinks: each member checkpoints (and can be preempted) under
+  // its own identity even when the members share one task graph.
+  std::vector<std::unique_ptr<PreemptSink>> sinks;
+  std::vector<qr::detail::BatchJob> bjobs;
+  qr::Checkpoint start; // resume point of a solo or gang attempt
+  std::string names;
+  for (Job* member : at.members) {
+    Job& job = *member;
+    sim::HostMutRef a =
+        job.spec.a.data != nullptr
+            ? job.spec.a
+            : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
+    sim::HostMutRef r =
+        job.spec.r.data != nullptr
+            ? job.spec.r
+            : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
+    qr::Checkpoint cp;
+    {
+      // Every attempt — including the first — starts from the job's latest
+      // consistent state, so preemption resumes and fault retries share one
+      // path. The unit-0 "checkpoint" snapshots the pristine inputs: a
+      // Real-mode retry must not re-factor a half-mutated A.
+      std::lock_guard<std::mutex> lk(mutex_);
+      if (!job.has_checkpoint) {
+        job.checkpoint.driver = job.spec.algorithm;
+        job.checkpoint.m = job.spec.m;
+        job.checkpoint.n = job.spec.n;
+        job.checkpoint.blocksize = job.blocksize;
+        job.checkpoint.a = snapshot_host(a);
+        job.checkpoint.r = snapshot_host(r);
+        job.has_checkpoint = true;
+      }
+      cp = job.checkpoint;
     }
-    job.watch_from.assign(1, window);
+    sinks.push_back(std::make_unique<PreemptSink>(*this, job));
+    qr::QrOptions opts = job.spec.options;
+    opts.blocksize = job.blocksize;
+    opts.precision = job.spec.precision;
+    opts.checkpoint_sink = sinks.back().get();
+    opts.checkpoint_every = cfg_.checkpoint_every;
+    opts.resume_units = 0;
+    if (batched) {
+      // The batch runners take already-restored host data plus per-job
+      // resume_units (what qr::resume does for a solo job). Fused members
+      // all sit at the same checkpoint position (the fusion contract).
+      restore_host(a, cp.a);
+      restore_host(r, cp.r);
+      opts.resume_units = cp.units_done;
+    } else {
+      start = std::move(cp);
+    }
+    bjobs.push_back(qr::detail::BatchJob{job.spec.algorithm, a, r, opts,
+                                         job_label(job.id)});
+    names += (names.empty() ? "" : "+") + job.spec.name;
   }
 
   try {
-    qr::Checkpoint start;
     {
-      std::lock_guard<std::mutex> lk(mutex_);
-      start = job.checkpoint;
+      const Job& first = *at.members.front();
+      std::string span_name = "serve.job " + first.spec.name + " attempt " +
+                              std::to_string(first.attempts);
+      if (batched) {
+        span_name = (at.kind == Attempt::Kind::Fused ? "serve.fused "
+                                                      : "serve.batch ") +
+                    names;
+      }
+      std::vector<std::unique_ptr<sim::TraceSpan>> spans;
+      for (sim::Device* dev : devs) {
+        spans.push_back(std::make_unique<sim::TraceSpan>(*dev, span_name));
+      }
+      const qr::detail::BatchJob& j0 = bjobs.front();
+      switch (at.kind) {
+      case Attempt::Kind::Solo:
+      case Attempt::Kind::Gang:
+        // On one device or across the gang's fleet, the driver named by
+        // the checkpoint's tag.
+        qr::resume(qr::QrProblem{devs, j0.a, j0.r,
+                                 *qr::parse_algorithm(j0.algorithm), j0.opts},
+                   start);
+        break;
+      case Attempt::Kind::Colocated:
+        qr::detail::run_batch(*devs.front(), bjobs);
+        break;
+      case Attempt::Kind::Fused:
+        qr::detail::run_fused_batch(*devs.front(), bjobs);
+        break;
+      }
     }
-    sim::TraceSpan span(dev, "serve.job " + job.spec.name + " attempt " +
-                                 std::to_string(job.attempts));
-    qr::resume(qr::QrProblem{{&dev}, a, r, qr::Algorithm::Recursive, opts},
-               start);
-    finish_attempt(job, window, device_index, JobState::Completed, "",
-                   AttemptOutcome::Clean);
+    finish_attempt(at, JobState::Completed, "", AttemptOutcome::Clean, -1);
   } catch (const PreemptRequest&) {
-    // The sink threw right after a checkpoint write, which had already
-    // synchronized the device; RAII unwound every driver allocation.
-    dev.synchronize();
-    finish_attempt(job, window, device_index, JobState::Preempted, "",
-                   AttemptOutcome::Clean);
-  } catch (const WatchdogTrip&) {
-    dev.synchronize();
-    const bool retry = job.retries < cfg_.max_job_retries;
-    finish_attempt(job, window, device_index,
-                   retry ? JobState::Queued : JobState::Failed,
+    // A member's sink threw right after a checkpoint write, which had
+    // already synchronized the device; RAII unwound every driver
+    // allocation. Every member requeues from its own latest checkpoint — a
+    // member that had already finished resumes into an immediate no-op.
+    sim::synchronize_all(devs);
+    finish_attempt(at, JobState::Preempted, "", AttemptOutcome::Clean, -1);
+  } catch (const WatchdogTrip& w) {
+    sim::synchronize_all(devs);
+    finish_attempt(at, JobState::Queued,
                    "watchdog: an operation exceeded the " +
                        std::to_string(cfg_.watchdog_timeout) +
                        "s simulated timeout",
-                   AttemptOutcome::DeviceFailure);
+                   AttemptOutcome::DeviceFailure, w.device);
   } catch (const Error& e) {
     // Dead-device RAII contract: free/synchronize stay usable after a
     // fatal fault, so this unwind leaks nothing even on a lost device.
-    dev.synchronize();
-    if (dev.dead()) {
-      finish_attempt(job, window, device_index, JobState::Queued, e.what(),
-                     AttemptOutcome::DeviceLoss);
+    sim::synchronize_all(devs);
+    // A held device that is dead makes this a device loss. Otherwise a
+    // single-device attempt strikes its device; a gang's error names no
+    // device, so it strikes nobody.
+    int lost = -1;
+    for (size_t g = 0; g < devs.size() && lost < 0; ++g) {
+      if (devs[g]->dead()) lost = at.devices[g];
+    }
+    if (lost >= 0) {
+      finish_attempt(at, JobState::Queued, e.what(),
+                     AttemptOutcome::DeviceLoss, lost);
     } else {
-      const bool retry = job.retries < cfg_.max_job_retries;
-      finish_attempt(job, window, device_index,
-                     retry ? JobState::Queued : JobState::Failed, e.what(),
-                     AttemptOutcome::DeviceFailure);
+      finish_attempt(at, JobState::Queued, e.what(),
+                     AttemptOutcome::DeviceFailure,
+                     at.kind == Attempt::Kind::Gang ? -1 : at.devices.front());
     }
   }
 }
 
-void Scheduler::finish_attempt(Job& job, size_t window, int device_index,
-                               JobState state, const std::string& failure,
-                               AttemptOutcome outcome) {
-  const sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
+void Scheduler::finish_attempt(const Attempt& at, JobState state,
+                               const std::string& failure,
+                               AttemptOutcome outcome, int failed_device) {
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    const qr::QrStats attempt =
-        qr::stats_from_trace(dev.trace(), window, dev.memory_peak());
-    accumulate_stats(job.stats, attempt);
-    const auto du = static_cast<size_t>(device_index);
-    if (attempt.events > 0) {
-      device_avail_[du] = std::max(device_avail_[du], attempt.last_end);
-    }
-    device_busy_[du] = 0;
-    --running_;
-    bool newly_dead = false;
-    switch (outcome) {
-    case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(device_index);
-      break;
-    case AttemptOutcome::DeviceFailure:
-      newly_dead = note_device_failure_locked(device_index);
-      break;
-    case AttemptOutcome::Clean:
-      note_device_success_locked(device_index);
-      break;
-    }
-    if (newly_dead && state != JobState::Completed &&
-        state != JobState::Preempted) {
-      // The device died under this job: migrate (re-quote + requeue from
-      // the latest checkpoint), not a retry.
-      migrate_locked(job, failure);
-    } else {
-      record_outcome_locked(job, state, failure);
-    }
-  }
-  cv_.notify_all();
-}
-
-void Scheduler::run_colocated_attempt(int device_index,
-                                      const std::vector<Job*>& batch) {
-  sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  const size_t window = dev.trace().size();
-
-  // Per-job sinks: each member checkpoints (and can be preempted) under
-  // its own identity even though all of them share one task graph.
-  std::vector<std::unique_ptr<PreemptSink>> sinks;
-  std::vector<qr::detail::BatchJob> bjobs;
-  sinks.reserve(batch.size());
-  bjobs.reserve(batch.size());
-  std::string names;
-  for (Job* member : batch) {
-    Job& job = *member;
-    sim::HostMutRef a =
-        job.spec.a.data != nullptr
-            ? job.spec.a
-            : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-    sim::HostMutRef r =
-        job.spec.r.data != nullptr
-            ? job.spec.r
-            : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-    qr::Checkpoint start;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!job.has_checkpoint) {
-        qr::Checkpoint cp0;
-        cp0.driver = job.spec.algorithm;
-        cp0.m = job.spec.m;
-        cp0.n = job.spec.n;
-        cp0.blocksize = job.blocksize;
-        cp0.columns_done = 0;
-        cp0.units_done = 0;
-        cp0.a = snapshot_host(a);
-        cp0.r = snapshot_host(r);
-        job.checkpoint = std::move(cp0);
-        job.has_checkpoint = true;
+    std::vector<qr::QrStats> per_device;
+    for (size_t g = 0; g < at.devices.size(); ++g) {
+      const auto d = static_cast<size_t>(at.devices[g]);
+      per_device.push_back(qr::stats_from_trace(
+          devices_[d]->trace(), at.windows[g], devices_[d]->memory_peak()));
+      if (per_device.back().events > 0) {
+        device_avail_[d] =
+            std::max(device_avail_[d], per_device.back().last_end);
       }
-      job.watch_from.assign(1, window);
-      start = job.checkpoint;
+      device_busy_[d] = 0;
     }
-    // run_batch expects restored host data + resume_units (the batch
-    // equivalent of what qr::resume does for a solo job).
-    if (a.data != nullptr) {
-      restore_host(a, start.a);
-      restore_host(r, start.r);
+    running_ -= static_cast<int>(at.devices.size());
+    if (at.kind == Attempt::Kind::Gang) gang_active_ = false;
+    for (Job* member : at.members) {
+      // Per-member attribution of the attempt's trace windows.
+      qr::QrStats s;
+      switch (at.kind) {
+      case Attempt::Kind::Solo:
+      case Attempt::Kind::Gang:
+        // The whole window of every held device (one, for a solo job).
+        s = qr::combine_device_stats(per_device);
+        break;
+      case Attempt::Kind::Colocated: {
+        // The shared window filtered by the member's "j<id>." op prefix.
+        const sim::Device& dev =
+            *devices_[static_cast<size_t>(at.devices.front())];
+        s = qr::stats_from_trace(dev.trace(), at.windows.front(),
+                                 dev.memory_peak(), job_label(member->id));
+        break;
+      }
+      case Attempt::Kind::Fused:
+        s = qr::detail::split_fused_stats(
+            per_device.front(), static_cast<int>(at.members.size()));
+        break;
+      }
+      accumulate_stats(member->stats, s);
     }
-    sinks.push_back(std::make_unique<PreemptSink>(*this, job));
-    qr::QrOptions opts = job.spec.options;
-    opts.blocksize = job.blocksize;
-    opts.precision = job.spec.precision;
-    opts.checkpoint_sink = sinks.back().get();
-    opts.checkpoint_every = cfg_.checkpoint_every;
-    opts.resume_units = start.units_done;
-    bjobs.push_back(qr::detail::BatchJob{
-        job.spec.algorithm, a, r, opts,
-        "j" + std::to_string(job.id) + "."});
-    names += (names.empty() ? "" : "+") + job.spec.name;
-  }
-
-  try {
-    sim::TraceSpan span(dev, "serve.batch " + names);
-    qr::detail::run_batch(dev, bjobs);
-    finish_colocated_attempt(batch, window, device_index,
-                             JobState::Completed, "", AttemptOutcome::Clean);
-  } catch (const PreemptRequest&) {
-    // One member's sink threw at a checkpoint boundary; the whole graph
-    // unwound. Every member requeues from its own latest checkpoint — a
-    // member that had already finished resumes into an immediate no-op.
-    dev.synchronize();
-    finish_colocated_attempt(batch, window, device_index,
-                             JobState::Preempted, "", AttemptOutcome::Clean);
-  } catch (const WatchdogTrip&) {
-    dev.synchronize();
-    finish_colocated_attempt(batch, window, device_index, JobState::Queued,
-                             "watchdog: an operation exceeded the " +
-                                 std::to_string(cfg_.watchdog_timeout) +
-                                 "s simulated timeout",
-                             AttemptOutcome::DeviceFailure);
-  } catch (const Error& e) {
-    dev.synchronize();
-    finish_colocated_attempt(batch, window, device_index, JobState::Queued,
-                             e.what(),
-                             dev.dead() ? AttemptOutcome::DeviceLoss
-                                        : AttemptOutcome::DeviceFailure);
-  }
-}
-
-void Scheduler::finish_colocated_attempt(const std::vector<Job*>& batch,
-                                         size_t window, int device_index,
-                                         JobState state,
-                                         const std::string& failure,
-                                         AttemptOutcome outcome) {
-  const sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    const auto du = static_cast<size_t>(device_index);
-    const qr::QrStats whole =
-        qr::stats_from_trace(dev.trace(), window, dev.memory_peak());
-    if (whole.events > 0) {
-      device_avail_[du] = std::max(device_avail_[du], whole.last_end);
-    }
-    device_busy_[du] = 0;
-    --running_;
     bool newly_dead = false;
     switch (outcome) {
     case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(device_index);
+      newly_dead = declare_dead_locked(failed_device);
       break;
     case AttemptOutcome::DeviceFailure:
-      newly_dead = note_device_failure_locked(device_index);
+      // A failure that names no device strikes nobody.
+      if (failed_device >= 0) {
+        newly_dead = note_device_failure_locked(failed_device);
+      }
       break;
     case AttemptOutcome::Clean:
-      note_device_success_locked(device_index);
+      for (const int d : at.devices) note_device_success_locked(d);
       break;
     }
-    for (Job* member : batch) {
-      // Per-job attribution: the shared window filtered by the member's
-      // "j<id>." op-name prefix.
-      accumulate_stats(member->stats,
-                       qr::stats_from_trace(
-                           dev.trace(), window, dev.memory_peak(),
-                           "j" + std::to_string(member->id) + "."));
+    for (Job* member : at.members) {
       if (newly_dead && state != JobState::Completed &&
           state != JobState::Preempted) {
-        // The shared device died: every member migrates from its own
-        // latest checkpoint (no retry charged).
+        // The device died under this attempt: every member migrates
+        // (re-quote + requeue from its own latest checkpoint), not a retry.
+        // A gang's checkpoint pins the leaf layout, so the resumed gang on
+        // the survivors reproduces the clean result bit for bit.
         migrate_locked(*member, failure);
-        continue;
+      } else if (state == JobState::Queued &&
+                 member->retries >= cfg_.max_job_retries) {
+        record_outcome_locked(*member, JobState::Failed, failure);
+      } else {
+        record_outcome_locked(*member, state, failure);
       }
-      JobState member_state = state;
-      if (state == JobState::Queued &&
-          member->retries >= cfg_.max_job_retries) {
-        member_state = JobState::Failed;
-      }
-      record_outcome_locked(*member, member_state, failure);
-    }
-  }
-  cv_.notify_all();
-}
-
-void Scheduler::run_fused_attempt(int device_index,
-                                  const std::vector<Job*>& batch) {
-  sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  const size_t window = dev.trace().size();
-
-  // Per-job sinks, exactly as in the colocated path: each member
-  // checkpoints (and can be preempted) under its own identity even though
-  // every fused round is one shared batched op per engine.
-  std::vector<std::unique_ptr<PreemptSink>> sinks;
-  std::vector<qr::detail::BatchJob> bjobs;
-  sinks.reserve(batch.size());
-  bjobs.reserve(batch.size());
-  std::string names;
-  for (Job* member : batch) {
-    Job& job = *member;
-    sim::HostMutRef a =
-        job.spec.a.data != nullptr
-            ? job.spec.a
-            : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-    sim::HostMutRef r =
-        job.spec.r.data != nullptr
-            ? job.spec.r
-            : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-    qr::Checkpoint start;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!job.has_checkpoint) {
-        qr::Checkpoint cp0;
-        cp0.driver = job.spec.algorithm;
-        cp0.m = job.spec.m;
-        cp0.n = job.spec.n;
-        cp0.blocksize = job.blocksize;
-        cp0.columns_done = 0;
-        cp0.units_done = 0;
-        cp0.a = snapshot_host(a);
-        cp0.r = snapshot_host(r);
-        job.checkpoint = std::move(cp0);
-        job.has_checkpoint = true;
-      }
-      job.watch_from.assign(1, window);
-      start = job.checkpoint;
-    }
-    // run_fused_batch expects restored host data + resume_units; the
-    // coalescer only fused members at the same checkpoint position, so
-    // every member's resume_units agree (the fusion contract).
-    if (a.data != nullptr) {
-      restore_host(a, start.a);
-      restore_host(r, start.r);
-    }
-    sinks.push_back(std::make_unique<PreemptSink>(*this, job));
-    qr::QrOptions opts = job.spec.options;
-    opts.blocksize = job.blocksize;
-    opts.precision = job.spec.precision;
-    opts.checkpoint_sink = sinks.back().get();
-    opts.checkpoint_every = cfg_.checkpoint_every;
-    opts.resume_units = start.units_done;
-    bjobs.push_back(qr::detail::BatchJob{
-        job.spec.algorithm, a, r, opts,
-        "j" + std::to_string(job.id) + "."});
-    names += (names.empty() ? "" : "+") + job.spec.name;
-  }
-
-  try {
-    sim::TraceSpan span(dev, "serve.fused " + names);
-    qr::detail::run_fused_batch(dev, bjobs);
-    finish_fused_attempt(batch, window, device_index, JobState::Completed,
-                         "", AttemptOutcome::Clean);
-  } catch (const PreemptRequest&) {
-    // One member's sink threw at a fused round boundary; the whole batch
-    // unwound. Every member requeues from its own checkpoint and resumes
-    // solo or in a different fusion — bit-identical either way.
-    dev.synchronize();
-    finish_fused_attempt(batch, window, device_index, JobState::Preempted,
-                         "", AttemptOutcome::Clean);
-  } catch (const WatchdogTrip&) {
-    dev.synchronize();
-    finish_fused_attempt(batch, window, device_index, JobState::Queued,
-                         "watchdog: an operation exceeded the " +
-                             std::to_string(cfg_.watchdog_timeout) +
-                             "s simulated timeout",
-                         AttemptOutcome::DeviceFailure);
-  } catch (const Error& e) {
-    dev.synchronize();
-    finish_fused_attempt(batch, window, device_index, JobState::Queued,
-                         e.what(),
-                         dev.dead() ? AttemptOutcome::DeviceLoss
-                                    : AttemptOutcome::DeviceFailure);
-  }
-}
-
-void Scheduler::finish_fused_attempt(const std::vector<Job*>& batch,
-                                     size_t window, int device_index,
-                                     JobState state,
-                                     const std::string& failure,
-                                     AttemptOutcome outcome) {
-  const sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    const auto du = static_cast<size_t>(device_index);
-    const qr::QrStats whole =
-        qr::stats_from_trace(dev.trace(), window, dev.memory_peak());
-    if (whole.events > 0) {
-      device_avail_[du] = std::max(device_avail_[du], whole.last_end);
-    }
-    device_busy_[du] = 0;
-    --running_;
-    bool newly_dead = false;
-    switch (outcome) {
-    case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(device_index);
-      break;
-    case AttemptOutcome::DeviceFailure:
-      newly_dead = note_device_failure_locked(device_index);
-      break;
-    case AttemptOutcome::Clean:
-      note_device_success_locked(device_index);
-      break;
-    }
-    const qr::QrStats per =
-        split_fused_stats(whole, static_cast<int>(batch.size()));
-    for (Job* member : batch) {
-      accumulate_stats(member->stats, per);
-      if (newly_dead && state != JobState::Completed &&
-          state != JobState::Preempted) {
-        migrate_locked(*member, failure);
-        continue;
-      }
-      JobState member_state = state;
-      if (state == JobState::Queued &&
-          member->retries >= cfg_.max_job_retries) {
-        member_state = JobState::Failed;
-      }
-      record_outcome_locked(*member, member_state, failure);
     }
   }
   cv_.notify_all();
@@ -1297,162 +1041,6 @@ void Scheduler::record_outcome_locked(Job& job, JobState state,
     break;
   }
   if (state == JobState::Completed) job.failure.clear();
-}
-
-void Scheduler::run_gang_attempt(Job& job) {
-  // The gang runs on the devices acquired at dispatch (the survivors): a
-  // re-planned attempt after a device loss never touches the dead member.
-  std::vector<sim::Device*> fleet;
-  std::vector<size_t> windows;
-  std::vector<int> gang;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    gang = job.gang_devices;
-    fleet.reserve(gang.size());
-    windows.reserve(gang.size());
-    for (const int d : gang) {
-      fleet.push_back(devices_[static_cast<size_t>(d)].get());
-      windows.push_back(fleet.back()->trace().size());
-    }
-    job.watch_from = windows;
-  }
-  PreemptSink sink(*this, job);
-
-  qr::QrOptions opts = job.spec.options;
-  opts.blocksize = job.blocksize;
-  opts.precision = job.spec.precision;
-  opts.checkpoint_sink = &sink;
-  opts.checkpoint_every = cfg_.checkpoint_every;
-  opts.resume_units = 0;
-
-  sim::HostMutRef a = job.spec.a.data != nullptr
-                          ? job.spec.a
-                          : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-  sim::HostMutRef r = job.spec.r.data != nullptr
-                          ? job.spec.r
-                          : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!job.has_checkpoint) {
-      qr::Checkpoint cp0;
-      cp0.driver = job.spec.algorithm;
-      cp0.m = job.spec.m;
-      cp0.n = job.spec.n;
-      cp0.blocksize = job.blocksize;
-      cp0.columns_done = 0;
-      cp0.units_done = 0;
-      cp0.a = snapshot_host(a);
-      cp0.r = snapshot_host(r);
-      job.checkpoint = std::move(cp0);
-      job.has_checkpoint = true;
-    }
-  }
-
-  try {
-    qr::Checkpoint start;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      start = job.checkpoint;
-    }
-    std::vector<std::unique_ptr<sim::TraceSpan>> spans;
-    spans.reserve(fleet.size());
-    for (sim::Device* dev : fleet) {
-      spans.push_back(std::make_unique<sim::TraceSpan>(
-          *dev, "serve.job " + job.spec.name + " attempt " +
-                    std::to_string(job.attempts)));
-    }
-    qr::resume(qr::QrProblem{fleet, a, r, qr::Algorithm::Tsqr, opts}, start);
-    spans.clear();
-    finish_gang_attempt(job, windows, JobState::Completed, "",
-                        AttemptOutcome::Clean, -1);
-  } catch (const PreemptRequest&) {
-    sim::synchronize_all(fleet);
-    finish_gang_attempt(job, windows, JobState::Preempted, "",
-                        AttemptOutcome::Clean, -1);
-  } catch (const WatchdogTrip& w) {
-    sim::synchronize_all(fleet);
-    const bool retry = job.retries < cfg_.max_job_retries;
-    finish_gang_attempt(job, windows,
-                        retry ? JobState::Queued : JobState::Failed,
-                        "watchdog: an operation exceeded the " +
-                            std::to_string(cfg_.watchdog_timeout) +
-                            "s simulated timeout",
-                        AttemptOutcome::DeviceFailure, w.device);
-  } catch (const Error& e) {
-    sim::synchronize_all(fleet);
-    // Attribute the failure: a gang member whose device is dead makes this
-    // a device loss; otherwise the error is unattributable (no strike).
-    int lost = -1;
-    for (size_t g = 0; g < fleet.size(); ++g) {
-      if (fleet[g]->dead()) {
-        lost = gang[g];
-        break;
-      }
-    }
-    if (lost >= 0) {
-      finish_gang_attempt(job, windows, JobState::Queued, e.what(),
-                          AttemptOutcome::DeviceLoss, lost);
-    } else {
-      const bool retry = job.retries < cfg_.max_job_retries;
-      finish_gang_attempt(job, windows,
-                          retry ? JobState::Queued : JobState::Failed,
-                          e.what(), AttemptOutcome::DeviceFailure, -1);
-    }
-  }
-}
-
-void Scheduler::finish_gang_attempt(Job& job,
-                                    const std::vector<size_t>& windows,
-                                    JobState state,
-                                    const std::string& failure,
-                                    AttemptOutcome outcome,
-                                    int failed_device) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    std::vector<qr::QrStats> per_device;
-    per_device.reserve(job.gang_devices.size());
-    for (size_t g = 0; g < job.gang_devices.size(); ++g) {
-      const auto d = static_cast<size_t>(job.gang_devices[g]);
-      per_device.push_back(qr::stats_from_trace(
-          devices_[d]->trace(), windows[g], devices_[d]->memory_peak()));
-    }
-    accumulate_stats(job.stats, qr::combine_device_stats(per_device));
-    for (size_t g = 0; g < per_device.size(); ++g) {
-      const auto d = static_cast<size_t>(job.gang_devices[g]);
-      if (per_device[g].events > 0) {
-        device_avail_[d] = std::max(device_avail_[d], per_device[g].last_end);
-      }
-      device_busy_[d] = 0;
-    }
-    running_ -= static_cast<int>(job.gang_devices.size());
-    gang_active_ = false;
-    bool newly_dead = false;
-    switch (outcome) {
-    case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(failed_device);
-      break;
-    case AttemptOutcome::DeviceFailure:
-      // A gang failure without an attributable device strikes nobody.
-      if (failed_device >= 0) {
-        newly_dead = note_device_failure_locked(failed_device);
-      }
-      break;
-    case AttemptOutcome::Clean:
-      for (const int d : job.gang_devices) note_device_success_locked(d);
-      break;
-    }
-    if (newly_dead && state != JobState::Completed &&
-        state != JobState::Preempted) {
-      // Gang re-planning: the checkpoint pins the leaf layout, so the
-      // resumed gang on the survivors reproduces the clean result bit for
-      // bit — only the dead member's unfinished leaves re-host.
-      migrate_locked(job, failure);
-    } else {
-      record_outcome_locked(job, state, failure);
-    }
-  }
-  cv_.notify_all();
 }
 
 FleetReport Scheduler::build_report() {

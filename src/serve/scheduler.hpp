@@ -9,74 +9,67 @@
 // simulated instant (a conservative event-ordering gate on per-device
 // availability bounds, advanced at every checkpoint). Dispatch is a
 // priority queue with backfill: the highest-priority ready job runs next on
-// the earliest-available device, and jobs whose
-// arrival gate has not opened yet are skipped so lower-priority ready work
-// fills the idle devices. When every device is busy and a strictly
-// higher-priority job becomes ready, the running job with the lowest
-// priority (most remaining columns first) is preempted at its next panel
-// checkpoint boundary — the driver's own CheckpointSink hook unwinds the
-// attempt, and the job later resumes via qr::resume, bit-identical to an
-// uninterrupted run. Faults installed on fleet devices are absorbed the
-// same way: a failed attempt retries from the job's latest checkpoint up
-// to max_job_retries times.
+// the earliest-available device, and jobs whose arrival gate has not opened
+// yet are skipped so lower-priority ready work fills the idle devices.
 //
-// Single-device jobs (algorithms "tiled", "blocking", "left" — mixed
-// freely) can be *colocated*: when max_colocated_jobs > 1 and the ready
-// queue outnumbers the idle devices, a worker that picks such a job also
-// claims up to that many further ready deadline-free single-device jobs
-// (same precision, combined predicted peaks within the admission budget)
-// and dispatches them as ONE task graph via qr::detail::run_batch — each
-// algorithm lowers to its own node program, and their move-in / compute /
-// move-out nodes interleave on the device's three engines, so one job's
-// transfers overlap another's computes (DAG multi-tenancy instead of
-// whole-device ownership). Per-job stats come from the shared trace
-// window filtered by each job's "j<id>." op-name prefix. A preemption or
-// fault unwinds the whole batch; every member requeues from its own
-// latest checkpoint and resumes bit-identically — the batch programs'
-// arithmetic matches the solo drivers' bit for bit.
+// Every dispatch is one *Attempt*: the devices it holds, the member jobs it
+// runs and a runner. There are four kinds, and they differ only in the
+// runner and in how the attempt's trace windows are attributed to members:
+//   - solo: one job on one device, run by qr::resume; the member gets the
+//     whole window.
+//   - colocated: several single-device jobs ("tiled", "blocking", "left",
+//     mixed freely; same precision; deadline-free) as ONE task graph via
+//     qr::detail::run_batch, so one job's transfers overlap another's
+//     computes. Each member gets the window filtered by its "j<id>." op
+//     prefix. Enabled by max_colocated_jobs > 1.
+//   - fused: same-shape, same-precision "blocking" jobs (also sharing
+//     blocksize, panel options and checkpoint position) as ONE
+//     block-diagonal batched node program via qr::detail::run_fused_batch,
+//     paying the fixed per-op latencies once per round instead of once per
+//     job. Each member gets an even 1/K split. Enabled by max_fused_jobs > 1
+//     and tried before colocation.
+//   - gang: a "tsqr" job acquires every alive device atomically and runs
+//     qr::resume over the fleet; the member gets qr::combine_device_stats
+//     over the held devices. While a gang is the top pick the fleet drains
+//     (idle workers stop backfilling; with preemption on, strictly
+//     lower-priority running jobs are asked to yield) until it can
+//     dispatch, so backfill can never starve it.
+// Batches only form when the ready queue outnumbers the idle devices and
+// the members' summed predicted peaks fit the admission budget; one claim
+// helper applies those rules with a per-kind compatibility predicate.
 //
-// Same-shape, same-precision "blocking" jobs go one step further: when
-// max_fused_jobs > 1 the dispatcher *fuses* up to that many ready
-// deadline-free members into ONE block-diagonal batched node program
-// (qr::detail::run_fused_batch) — per panel round a single batched
-// move-in, panel kernel, GEMM pair and move-out cover every member, so the
-// fixed per-op latencies (link turnaround, kernel launch) are paid once
-// per round instead of once per job. Members must also share blocksize,
-// panel options and checkpoint position; per-member R (and Q) stays
-// bit-identical to a solo run, and a preempted member resumes solo or in
-// a different fusion. Fusion is tried before colocation.
-//
-// Jobs with algorithm "tsqr" are *gang-scheduled*: one job acquires every
-// device in the fleet atomically and runs the TSQR driver across them.
-// While a gang job is the top pick the fleet drains — idle workers stop
-// backfilling lower-priority work (and, with preemption on, every running
-// job of strictly lower priority is asked to yield) until the fleet is
-// fully idle and the gang dispatches in one step, so backfill can never
-// deadlock or starve it. A running gang checkpoints at leaf-factorization
-// boundaries ("tsqr" driver tag), preempts and resumes like any other job,
-// and its per-device trace windows roll up through
-// qr::combine_device_stats.
+// All kinds share one attempt path: every member starts from its latest
+// checkpoint (a unit-0 snapshot before the first dispatch) and checkpoints
+// through its own sink, which is also the preemption point. When every
+// device is busy and a strictly higher-priority job becomes ready, the
+// running job with the lowest priority (most remaining columns first) is
+// asked to yield; its sink unwinds the whole attempt at the next checkpoint
+// and every member resumes later bit-identical to an uninterrupted run,
+// solo or in a different batch. A failed attempt retries every member from
+// its own checkpoint, up to max_job_retries each.
 //
 // Fleet health (docs/SERVING.md "Fleet failover & load shedding"): every
-// device carries a Healthy/Suspect/Dead state. A failed attempt marks its
-// device Suspect; device_failure_threshold consecutive failures — or a
-// DeviceLost error (injected `fatal` fault), or a simulated-clock watchdog
-// trip (an op exceeding watchdog_timeout) — declare it Dead. A dead
-// device's worker exits, its running job is *migrated*: re-quoted through
-// the phantom admission path against the surviving fleet and requeued from
-// its latest checkpoint (not charged against max_job_retries). A TSQR gang
-// that loses a member re-plans on the survivors: the checkpoint pins the
-// leaf partition, completed leaves keep their stacked R factors, and only
-// the dead member's leaves re-factor (round-robin onto survivors) — the
-// result stays bit-identical to an uninterrupted run at that leaf layout.
-// After every fleet shrink, outstanding deadline jobs are re-quoted against
-// the remaining capacity and the ones that can no longer make their
+// device carries a Healthy/Suspect/Dead state. A failed attempt strikes its
+// device (a gang's unattributed error strikes nobody);
+// device_failure_threshold consecutive strikes — or a DeviceLost error
+// (injected `fatal` fault), or a simulated-clock watchdog trip (an op
+// exceeding watchdog_timeout) — declare it Dead. A dead device's worker
+// exits, and every member of the attempt that killed it is *migrated*:
+// re-quoted through the phantom admission path against the surviving fleet
+// and requeued from its latest checkpoint (not charged against
+// max_job_retries). A TSQR gang that loses a member re-plans on the
+// survivors: the checkpoint pins the leaf partition, completed leaves keep
+// their stacked R factors, and only the dead member's leaves re-factor —
+// the result stays bit-identical to an uninterrupted run at that leaf
+// layout. After every fleet shrink, outstanding deadline jobs are re-quoted
+// against the remaining capacity and the ones that can no longer make their
 // deadline are load-shed (JobState::Shed — a distinct terminal state, not
 // a failure).
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -171,6 +164,7 @@ class Scheduler {
 
  private:
   struct Job;
+  struct Attempt;
   class PreemptSink;
   /// Internal unwind token thrown from the checkpoint sink. Deliberately
   /// not a rocqr::Error so no driver-level recovery path can swallow it.
@@ -187,33 +181,20 @@ class Scheduler {
   enum class AttemptOutcome { Clean, DeviceFailure, DeviceLoss };
 
   void worker(int device_index);
-  void run_attempt(int device_index, Job& job);
-  void run_colocated_attempt(int device_index,
-                             const std::vector<Job*>& batch);
-  /// Dispatches a coalesced batch of same-shape "blocking" jobs through
-  /// qr::detail::run_fused_batch (block-diagonal batched ops, one task
-  /// -graph round per fused panel). Same unwind/requeue contract as the
-  /// colocated path.
-  void run_fused_attempt(int device_index, const std::vector<Job*>& batch);
-  void run_gang_attempt(Job& job);
-  void finish_colocated_attempt(const std::vector<Job*>& batch,
-                                size_t window, int device_index,
-                                JobState state, const std::string& failure,
-                                AttemptOutcome outcome);
-  /// Fused epilogue: per-member stats are an even 1/K split of the fused
-  /// window's volume aggregates (the batched ops carry no per-job op-name
-  /// prefix; the split is exact because the members are identical in shape
-  /// and arithmetic).
-  void finish_fused_attempt(const std::vector<Job*>& batch, size_t window,
-                            int device_index, JobState state,
-                            const std::string& failure,
-                            AttemptOutcome outcome);
-  void finish_attempt(Job& job, size_t window, int device_index,
-                      JobState state, const std::string& failure,
-                      AttemptOutcome outcome);
-  void finish_gang_attempt(Job& job, const std::vector<size_t>& windows,
-                           JobState state, const std::string& failure,
-                           AttemptOutcome outcome, int failed_device);
+  /// Adds further ready jobs that satisfy `compatible` to the attempt, up
+  /// to `cap` members, while the ready queue outnumbers the idle devices
+  /// and the summed predicted peaks fit the admission budget.
+  void claim_extras_locked(Attempt& at, int cap,
+                           const std::function<bool(const Job&)>& compatible);
+  void run_attempt(const Attempt& at);
+  /// Releases the attempt's devices, attributes its trace windows to the
+  /// members, applies the device-health outcome (`failed_device` is the
+  /// device to strike or kill, -1 for none) and moves every member to
+  /// `state` — Failed once its retries are exhausted, migrated when the
+  /// attempt just killed its device.
+  void finish_attempt(const Attempt& at, JobState state,
+                      const std::string& failure, AttemptOutcome outcome,
+                      int failed_device);
   void record_outcome_locked(Job& job, JobState state,
                              const std::string& failure);
   void on_unit_completed(Job& job, const qr::Checkpoint& cp);
@@ -263,6 +244,8 @@ class Scheduler {
   /// device that could still act earlier — the fleet advances in simulated
   /// -time order even though workers race in wall-clock.
   std::vector<double> device_avail_;
+  /// Per device: trace events already folded into device_avail_.
+  std::vector<size_t> trace_folded_;
   std::vector<char> device_busy_;
   index_t fleet_units_ = 0;
   /// Busy devices (a gang job counts as cfg_.devices of them).

@@ -4,7 +4,8 @@
 // the survivors, a TSQR gang re-plans on the shrunken fleet bit-identically,
 // the simulated-clock watchdog catches hangs without a thrown error, and
 // deadline jobs that no longer fit the surviving capacity are load-shed
-// (JobState::Shed) instead of failed.
+// (JobState::Shed) instead of failed. A colocated batch on a dying device
+// migrates every member.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -184,6 +185,84 @@ TEST(ServeFailover, SoloJobsMigrateOffDeadDevice) {
     EXPECT_TRUE(bitwise_equal(rs[static_cast<size_t>(i)], r_ref)) << i;
   }
 
+  for (const auto& dev : sched.devices()) {
+    EXPECT_EQ(dev->live_allocations(), 0u);
+  }
+}
+
+TEST(ServeFailover, ColocatedBatchMigratesOffDeadDevice) {
+  // Device 0 dies (fatal H2D fault) under a colocated batch. Every member
+  // of that batch migrates from its own latest checkpoint and completes on
+  // device 1, bit-identical to a clean solo run, and the dead device's
+  // unwind leaks no allocation.
+  constexpr index_t kM = 96;
+  constexpr index_t kN = 72;
+  constexpr index_t kB = 24;
+  const char* algos[] = {"tiled", "left", "blocking", "tiled"};
+  constexpr int kJobs = 4;
+
+  ServeConfig cfg;
+  cfg.devices = 2;
+  cfg.mode = ExecutionMode::Real;
+  cfg.max_colocated_jobs = 2;
+  cfg.device_faults = {"h2d:fatal:after=2", ""};
+  Scheduler sched(cfg);
+
+  std::vector<la::Matrix> as;
+  std::vector<la::Matrix> rs;
+  as.reserve(kJobs);
+  rs.reserve(kJobs);
+  for (int i = 0; i < kJobs; ++i) {
+    as.push_back(la::random_normal(kM, kN, 950 + i));
+    rs.emplace_back(kN, kN);
+    JobSpec job;
+    job.name = "coloc" + std::to_string(i);
+    job.m = kM;
+    job.n = kN;
+    job.algorithm = algos[i];
+    job.blocksize = kB;
+    job.precision = blas::GemmPrecision::FP32;
+    job.options = real_base(kB);
+    job.a = as.back().view();
+    job.r = rs.back().view();
+    ASSERT_TRUE(sched.submit(job).admitted);
+  }
+
+  const FleetReport rep = sched.run();
+  EXPECT_EQ(rep.jobs_completed, kJobs);
+  EXPECT_EQ(rep.jobs_failed, 0);
+  EXPECT_EQ(rep.devices_lost, 1);
+  ASSERT_EQ(rep.device_health.size(), 2u);
+  EXPECT_EQ(rep.device_health[0], "dead");
+  EXPECT_EQ(rep.device_health[1], "healthy");
+
+  // With four ready jobs on two idle devices each device's first dispatch
+  // is a colocated pair, so exactly the two members of device 0's batch
+  // migrate — and only to device 1.
+  int migrated_jobs = 0;
+  for (const JobReport& j : rep.jobs) {
+    EXPECT_EQ(j.state, JobState::Completed) << j.name << ": " << j.failure;
+    EXPECT_EQ(j.retries, 0) << j.name;
+    EXPECT_EQ(j.last_device, 1) << j.name;
+    if (j.migrations > 0) {
+      ++migrated_jobs;
+      EXPECT_EQ(j.migrations, 1) << j.name;
+    }
+  }
+  EXPECT_EQ(migrated_jobs, 2);
+  EXPECT_EQ(rep.jobs_migrated, 2);
+
+  for (int i = 0; i < kJobs; ++i) {
+    la::Matrix q_ref = la::random_normal(kM, kN, 950 + i);
+    la::Matrix r_ref(kN, kN);
+    Device solo(cfg.spec, ExecutionMode::Real);
+    solo.model().install_paper_calibration();
+    qr::factorize(qr::QrProblem{{&solo}, q_ref.view(), r_ref.view(),
+                                *qr::parse_algorithm(algos[i]),
+                                real_base(kB)});
+    EXPECT_TRUE(bitwise_equal(as[static_cast<size_t>(i)], q_ref)) << i;
+    EXPECT_TRUE(bitwise_equal(rs[static_cast<size_t>(i)], r_ref)) << i;
+  }
   for (const auto& dev : sched.devices()) {
     EXPECT_EQ(dev->live_allocations(), 0u);
   }

@@ -1,19 +1,23 @@
 // rocqr — command-line driver for the simulator and the OOC factorizations.
 //
-// Usage:
+// Usage (`rocqr_cli help` lists every command's options):
 //   rocqr_cli qr    [--algo recursive|blocking|left|tiled] [--m N] [--n N]
-//                   [--blocksize B] [--device NAME] [--capacity-gib G]
-//                   [--pageable] [--no-qr-opt] [--no-staging] [--ramp]
-//                   [--fp32] [--timeline] [--explain-plan[=dot]]
-//                   [--csv FILE] [--chrome FILE]
-//   rocqr_cli lu    (same flags; square matrices)
-//   rocqr_cli chol  (same flags; square SPD)
+//                   [--blocksize B] [--device NAME] [--timeline] ...
+//   rocqr_cli lu    [--algo recursive|blocking] ... (square matrices)
+//   rocqr_cli chol  [--algo recursive|blocking] ... (square SPD)
 //   rocqr_cli tsqr  [--devices N] [--shared-link] [--m N] [--n N] ...
-//   rocqr_cli tune  [--algo ...] [--m N] [--n N] [--device NAME]
+//   rocqr_cli tune  [--algo recursive|blocking] [--m N] [--n N] ...
+//   rocqr_cli serve --jobs FILE [--devices N] ...
 //   rocqr_cli specs                  # list device presets
+//
+// Each command rejects options it does not read, and numeric values must
+// be whole tokens: both are usage errors (exit 2).
 //
 // Devices: v100-32 (default), v100-16, a100, rtx3080, nvme-cpu, disk-1996.
 // All runs are Phantom mode (schedule only), so any size works anywhere.
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -61,11 +65,102 @@ struct Args {
     const auto it = values.find(name);
     return it == values.end() ? fallback : it->second;
   }
+  /// Integer option value; a token that is not a whole base-10 integer
+  /// ("abc", "4x", "1.5", "") is a usage error, never a silent 0 or prefix.
   index_t number(const std::string& name, index_t fallback) const {
     const auto it = values.find(name);
-    return it == values.end() ? fallback : std::atoll(it->second.c_str());
+    if (it == values.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      std::cerr << "--" << name << " expects an integer, got '" << it->second
+                << "'\n";
+      std::exit(2);
+    }
+    return v;
+  }
+  /// Real option value, under the same whole-token rule.
+  double real(const std::string& name, double fallback) const {
+    const auto it = values.find(name);
+    if (it == values.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+      std::cerr << "--" << name << " expects a number, got '" << it->second
+                << "'\n";
+      std::exit(2);
+    }
+    return v;
   }
 };
+
+/// The options each subcommand reads. Any other option is a usage error:
+/// an option a command accepts but ignores would silently do nothing.
+std::vector<std::string> allowed_options(const std::string& command) {
+  const std::vector<std::string> device = {"device", "capacity-gib"};
+  const std::vector<std::string> trace = {"timeline", "csv", "chrome",
+                                          "trace-json", "metrics-json"};
+  const std::vector<std::string> factor = {
+      "algo", "m", "n", "blocksize", "pageable", "no-staging", "ramp", "fp32"};
+  std::vector<std::string> out;
+  const auto add = [&out](const std::vector<std::string>& opts) {
+    out.insert(out.end(), opts.begin(), opts.end());
+  };
+  if (command == "qr" || command == "lu" || command == "chol") {
+    add(device);
+    add(trace);
+    add(factor);
+    add({"faults"});
+    if (command == "qr") {
+      add({"no-qr-opt", "explain-plan", "abft", "check-finite", "checkpoint",
+           "checkpoint-every", "resume"});
+    }
+  } else if (command == "tsqr") {
+    add(device);
+    add(trace);
+    add({"m", "n", "blocksize", "devices", "pageable", "shared-link",
+         "no-qr-opt", "no-staging", "ramp", "fp32", "checkpoint",
+         "checkpoint-every", "resume"});
+  } else if (command == "tune") {
+    add(device);
+    add({"algo", "m", "n"});
+  } else if (command == "serve") {
+    add(device);
+    add({"jobs", "devices", "real", "shared-link", "no-preempt",
+         "checkpoint-every", "faults", "watchdog", "failure-threshold",
+         "max-fused", "report"});
+  }
+  return out;
+}
+
+/// Exits 2 naming the first option `args.command` does not read.
+void reject_unread_options(const Args& args) {
+  const std::vector<std::string> allowed = allowed_options(args.command);
+  std::vector<std::string> given = args.flags;
+  for (const auto& [name, value] : args.values) given.push_back(name);
+  for (const std::string& opt : given) {
+    if (std::find(allowed.begin(), allowed.end(), opt) == allowed.end()) {
+      std::cerr << "rocqr_cli " << args.command << ": unknown option --"
+                << opt << " (see rocqr_cli help)\n";
+      std::exit(2);
+    }
+  }
+}
+
+/// lu, chol and tune only know the recursive and blocking variants.
+bool recursive_or_blocking(const Args& args) {
+  const std::string algo = args.value("algo", "recursive");
+  if (algo != "recursive" && algo != "blocking") {
+    std::cerr << "unknown --algo '" << algo << "' for " << args.command
+              << " (expected recursive or blocking)\n";
+    std::exit(2);
+  }
+  return algo == "recursive";
+}
 
 Args parse(int argc, char** argv) {
   Args args;
@@ -184,7 +279,6 @@ void print_stats(const char* what, const qr::QrStats& stats) {
 }
 
 int run_factorization(const Args& args) {
-  const bool recursive = args.value("algo", "recursive") == "recursive";
   const index_t n = args.number("n", 131072);
   const index_t m = args.number("m", args.command == "qr" ? n : n);
   const index_t blocksize = args.number("blocksize", 16384);
@@ -253,6 +347,7 @@ int run_factorization(const Args& args) {
                 << (explain_dot ? plan_log.dot : plan_log.text);
     }
   } else {
+    const bool recursive = recursive_or_blocking(args);
     lu::FactorOptions opts;
     opts.blocksize = blocksize;
     opts.staging_buffer = !args.has_flag("no-staging");
@@ -338,7 +433,7 @@ int run_tsqr(const Args& args) {
 }
 
 int run_tune(const Args& args) {
-  const bool recursive = args.value("algo", "recursive") == "recursive";
+  const bool recursive = recursive_or_blocking(args);
   const index_t n = args.number("n", 131072);
   const index_t m = args.number("m", n);
   sim::DeviceSpec spec = spec_by_name(args.value("device", "v100-32"));
@@ -390,9 +485,7 @@ int run_serve(const Args& args) {
   cfg.shared_link = args.has_flag("shared-link");
   cfg.preemption = !args.has_flag("no-preempt");
   cfg.checkpoint_every = args.number("checkpoint-every", 1);
-  if (const auto it = args.values.find("watchdog"); it != args.values.end()) {
-    cfg.watchdog_timeout = std::atof(it->second.c_str());
-  }
+  cfg.watchdog_timeout = args.real("watchdog", 0);
   cfg.device_failure_threshold =
       static_cast<int>(args.number("failure-threshold", 3));
   cfg.max_fused_jobs = static_cast<int>(args.number("max-fused", 1));
@@ -492,36 +585,57 @@ void usage() {
   std::cout <<
       R"(rocqr_cli — drive the out-of-core factorization simulator
 
-commands:
-  qr | lu | chol   simulate one factorization at paper scale
-  tsqr             fleet-wide out-of-core TSQR: one huge factorization
-                   split across --devices N (supports --shared-link,
-                   --checkpoint/--resume; capacity scales with the fleet)
-  tune             sweep blocksizes, recommend the fastest
-  serve            schedule a batch of QR jobs over a device fleet
-  specs            list device presets
+usage: rocqr_cli COMMAND [options]   (--opt VALUE or --opt=VALUE)
+Each command rejects any option it does not read, and every numeric value
+must be a whole number token (exit 2 otherwise).
 
-common options:
-  --algo recursive|blocking|left|tiled
-                              (default recursive; left/tiled = QR only)
+commands and the options each one reads:
+  qr               simulate one QR factorization at paper scale
+                   --algo recursive|blocking|left|tiled, [matrix], [device],
+                   [factor], [trace], --faults SPEC, --no-qr-opt,
+                   --explain-plan[=dot], --abft, --check-finite,
+                   --checkpoint FILE, --checkpoint-every K, --resume FILE
+  lu | chol        simulate one LU / Cholesky factorization (square)
+                   --algo recursive|blocking, [matrix], [device], [factor],
+                   [trace], --faults SPEC
+  tsqr             fleet-wide out-of-core TSQR: one huge factorization
+                   split across --devices N (capacity scales with the fleet)
+                   [matrix], [device], [factor], [trace], --devices N,
+                   --shared-link, --no-qr-opt, --checkpoint FILE,
+                   --checkpoint-every K, --resume FILE
+  tune             sweep blocksizes, recommend the fastest
+                   --algo recursive|blocking, --m N, --n N, [device]
+  serve            schedule a batch of QR jobs over a device fleet
+                   --jobs FILE, --devices N, [device], --real,
+                   --shared-link, --no-preempt, --checkpoint-every K,
+                   --faults SPEC, --watchdog SEC, --failure-threshold N,
+                   --max-fused K, --report FILE
+  specs            list device presets (no options)
+  help             this text (no options)
+
+[matrix]
   --m N --n N                 matrix size (default 131072)
   --blocksize B               panel width (default 16384)
-  --device NAME               v100-32 | v100-16 | a100 | rtx3080
-  --capacity-gib G            override device memory
+[device]
+  --device NAME               v100-32 | v100-16 | a100 | rtx3080 |
+                              nvme-cpu | disk-1996
+  --capacity-gib G            override device memory (whole GiB)
+[factor]
   --pageable                  pageable host buffers (half link rate)
-  --no-qr-opt --no-staging --ramp --fp32
+  --no-staging --ramp --fp32
+[trace]
   --timeline                  print the per-engine Gantt chart
-  --explain-plan              print every task graph the driver lowered
-                              (node/edge/fence counts); --explain-plan=dot
-                              dumps them as Graphviz digraphs (QR only)
   --csv FILE --chrome FILE    export the trace
   --trace-json FILE           Chrome/Perfetto trace with engine, stream and
-                              nested phase-span tracks (also --trace-json=FILE)
+                              nested phase-span tracks
   --metrics-json FILE         JSON snapshot of the global metrics registry
 
-fault tolerance (QR; see docs/FAULTS.md):
+qr / lu / chol options (see docs/FAULTS.md; lu and chol take --faults only):
   --faults SPEC               install a seeded fault plan on the device, e.g.
                               "h2d:transient:p=0.01;alloc:oom:after=3;seed=7"
+  --explain-plan              print every task graph the driver lowered
+                              (node/edge/fence counts); --explain-plan=dot
+                              dumps them as Graphviz digraphs
   --abft                      checksum-verify the OOC GEMMs
   --check-finite              scan the host R and Q for non-finite values
                               after the factorization (exit 6 on a hit)
@@ -529,7 +643,7 @@ fault tolerance (QR; see docs/FAULTS.md):
   --checkpoint-every K        checkpoint every K panel units (default 1)
   --resume FILE               restart from the checkpoint in FILE
 
-serving (see docs/SERVING.md):
+serve options (see docs/SERVING.md):
   --jobs FILE                 JSON array of job objects (required; a job with
                               "algorithm": "tsqr" is gang-scheduled across
                               the whole fleet)
@@ -563,6 +677,7 @@ exit codes:
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
+  reject_unread_options(args);
   try {
     if (args.command == "qr" || args.command == "lu" ||
         args.command == "chol") {
