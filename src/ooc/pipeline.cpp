@@ -28,14 +28,6 @@ Event SlabPipeline::stage_resident(sim::DeviceMatrixRef dst,
   return graph_.done(id);
 }
 
-Event SlabPipeline::record_input_marker() {
-  // A body-less move-in node: its completion event marks everything
-  // enqueued on the H2D stream so far.
-  const TaskId id = graph_.add(TaskStage::MoveIn, "input marker", nullptr);
-  graph_.run();
-  return graph_.done(id);
-}
-
 namespace {
 
 std::string describe_plan(const SlabPlan& plan, const OocGemmOptions& opts) {
@@ -121,24 +113,20 @@ SlabRunResult SlabPipeline::run(const SlabPlan& plan) {
 
     // Streamed-input pool fence: the slot this step rotates into was last
     // read by the compute `input_slots` global steps ago; the move-in may
-    // not overwrite it earlier. The history spans run() calls so split
-    // loops (left-looking projections) fence like one long loop. Without a
-    // pool, the counted output-slot fence is the prefetch account
-    // (blocking outer product, trsm base case).
+    // not overwrite it earlier. The history spans run() calls so a split
+    // loop fences like one long loop. Without a pool, the counted
+    // output-slot fence is the prefetch account (blocking outer product,
+    // trsm base case).
     std::vector<TaskId> m1_deps;
     const index_t g_hist = static_cast<index_t>(history_.size());
     if (plan.input_slots > 0) {
-      if (plan.count_prefetch) {
-        detail::count_slab_prefetch(g_hist >= plan.input_slots);
-      }
+      detail::count_slab_prefetch(g_hist >= plan.input_slots);
       if (g_hist >= plan.input_slots) {
         m1_deps.push_back(
             history_[static_cast<size_t>(g_hist - plan.input_slots)]);
       }
     } else if (plan.output_fence == OutputFence::MoveInCounted) {
-      if (plan.count_prefetch) {
-        detail::count_slab_prefetch(group >= plan.output_slots);
-      }
+      detail::count_slab_prefetch(group >= plan.output_slots);
       if (group >= plan.output_slots) {
         m1_deps.push_back(
             out_ids[static_cast<size_t>(group - plan.output_slots)]);

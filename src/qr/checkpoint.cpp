@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "qr/blocking_qr.hpp"
-#include "qr/left_looking_qr.hpp"
 #include "qr/recursive_qr.hpp"
 #include "qr/tiled_qr.hpp"
 #include "qr/tsqr_ooc.hpp"
@@ -232,8 +231,9 @@ QrStats detail::resume_impl(const std::vector<sim::Device*>& devices,
   opts.resume_units = cp.units_done;
   if (cp.driver == "blocking") return detail::run_blocking(dev, a, r, opts);
   if (cp.driver == "recursive") return detail::run_recursive(dev, a, r, opts);
-  if (cp.driver == "left") return detail::run_left_looking(dev, a, r, opts);
-  if (cp.driver == "tiled") return detail::run_tiled(dev, a, r, opts);
+  if (cp.driver == "left" || cp.driver == "tiled") {
+    return detail::run_batch(dev, {{cp.driver, a, r, opts, ""}}).front();
+  }
   throw InvalidArgument("qr::resume: unknown driver '" + cp.driver + "'");
 }
 

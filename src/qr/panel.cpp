@@ -8,47 +8,11 @@ namespace rocqr::qr {
 void panel_qr_device(sim::Device& dev, sim::DeviceMatrixRef aq,
                      sim::DeviceMatrixRef r, sim::Stream stream,
                      const QrOptions& opts, const std::string& name_prefix) {
-  ROCQR_CHECK(aq.matrix.valid() && r.matrix.valid(),
-              "panel_qr_device: invalid matrix");
-  const index_t m = aq.rows;
-  const index_t w = aq.cols;
-  ROCQR_CHECK(m >= w && w >= 1, "panel_qr_device: need m >= w >= 1");
-  ROCQR_CHECK(r.rows == w && r.cols == w, "panel_qr_device: R must be w x w");
-
-  // CGS2 and CholeskyQR2 orthogonalize twice: double the panel flops at the
-  // same sustained rate.
-  const double flops_factor =
-      opts.panel_algorithm == PanelAlgorithm::RecursiveCgs ? 1.0 : 2.0;
-  const sim_time_t seconds = dev.model().panel_seconds(m, w) * flops_factor;
-  const flops_t flops =
-      static_cast<flops_t>(flops_factor * 2.0 * static_cast<double>(m) * w * w);
-  dev.custom_compute(
-      stream, seconds, flops, sim::OpKind::Panel,
-      name_prefix + "panel_qr " + std::to_string(m) + "x" + std::to_string(w),
-      [&]() {
-        la::Matrix host_panel = dev.download(aq);
-        la::Matrix host_r(w, w);
-        switch (opts.panel_algorithm) {
-          case PanelAlgorithm::RecursiveCgs:
-            recursive_cgs_inplace(host_panel.view(), host_r.view(),
-                                  opts.panel_base, opts.precision);
-            break;
-          case PanelAlgorithm::Cgs2: {
-            QrFactors f = cgs2(host_panel.view());
-            host_panel = std::move(f.q);
-            host_r = std::move(f.r);
-            break;
-          }
-          case PanelAlgorithm::CholeskyQr2: {
-            QrFactors f = cholesky_qr2(host_panel.view());
-            host_panel = std::move(f.q);
-            host_r = std::move(f.r);
-            break;
-          }
-        }
-        dev.upload(aq, host_panel.view());
-        dev.upload(r, host_r.view());
-      });
+  // A batch of one: the (K-1) amortized kernel latencies are zero, so the
+  // duration and flops are the solo ones.
+  panel_qr_device_batched(dev, {{aq, r}}, stream, opts,
+                          name_prefix + "panel_qr " + std::to_string(aq.rows) +
+                              "x" + std::to_string(aq.cols));
 }
 
 void panel_qr_device_batched(sim::Device& dev,
@@ -67,6 +31,8 @@ void panel_qr_device_batched(sim::Device& dev,
     ROCQR_CHECK(e.r.rows == w && e.r.cols == w,
                 "panel_qr_device_batched: R must be w x w");
   }
+  // CGS2 and CholeskyQR2 orthogonalize twice: double the panel flops at the
+  // same sustained rate.
   const double flops_factor =
       opts.panel_algorithm == PanelAlgorithm::RecursiveCgs ? 1.0 : 2.0;
   const auto k = static_cast<double>(entries.size());

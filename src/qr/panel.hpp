@@ -18,7 +18,8 @@ namespace rocqr::qr {
 /// be scheduled individually); in Real mode the numerics run via
 /// recursive_cgs_inplace with the selected GEMM precision.
 /// `name_prefix` prepends the trace op name — per-job attribution when
-/// several factorizations share one device (qr/tiled_qr.hpp).
+/// several factorizations share one device (qr/tiled_qr.hpp). The solo
+/// case of panel_qr_device_batched.
 void panel_qr_device(sim::Device& dev, sim::DeviceMatrixRef aq,
                      sim::DeviceMatrixRef r, sim::Stream stream,
                      const QrOptions& opts,

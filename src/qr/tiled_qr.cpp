@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -34,19 +35,41 @@ std::string idx(index_t k, index_t j) {
   return std::to_string(k) + "," + std::to_string(j);
 }
 
-/// Rotating device-buffer pool. Acquiring a slot hands back its index; the
-/// recorded `last_uses` nodes are the WAR edges the slot's next writer must
-/// depend on (the old output-fence taxonomy, now explicit graph edges).
+/// Rotating device-buffer pool. A slot holds one buffer per program member
+/// (one outside fusion; fused members advance in lockstep, so a slot's
+/// buffers are always acquired and released together). Acquiring a slot
+/// hands back its index; the recorded `last_uses` nodes are the WAR edges
+/// the slot's next writer must depend on (the old output-fence taxonomy,
+/// now explicit graph edges).
 struct SlotPool {
-  std::vector<ScopedMatrix> bufs;
-
-  void add(ScopedMatrix buf) {
-    bufs.push_back(std::move(buf));
+  void add(std::vector<ScopedMatrix> per_member) {
+    slots_.push_back(std::move(per_member));
     last_uses_.emplace_back();
+  }
+  void add(ScopedMatrix buf) {
+    std::vector<ScopedMatrix> one;
+    one.push_back(std::move(buf));
+    add(std::move(one));
+  }
+  size_t size() const { return slots_.size(); }
+  /// Slot s's buffer of member k, viewed as its leading rows x cols block.
+  DeviceMatrixRef ref(size_t s, index_t rows, index_t cols,
+                      size_t k = 0) const {
+    return DeviceMatrixRef(slots_[s][k].get()).block(0, 0, rows, cols);
+  }
+  /// `ref` for every member of slot s, in member order.
+  std::vector<DeviceMatrixRef> refs(size_t s, index_t rows,
+                                    index_t cols) const {
+    std::vector<DeviceMatrixRef> out;
+    out.reserve(slots_[s].size());
+    for (size_t k = 0; k < slots_[s].size(); ++k) {
+      out.push_back(ref(s, rows, cols, k));
+    }
+    return out;
   }
   size_t acquire() {
     const size_t s = next_;
-    next_ = (next_ + 1) % bufs.size();
+    next_ = (next_ + 1) % slots_.size();
     return s;
   }
   /// Appends slot s's outstanding readers to `deps` — the WAR edges its
@@ -61,25 +84,28 @@ struct SlotPool {
   }
 
  private:
+  std::vector<std::vector<ScopedMatrix>> slots_; // [slot][member]
   std::vector<std::vector<TaskId>> last_uses_;
   size_t next_ = 0;
 };
 
-/// The node program of one factorization inside a (possibly colocated)
-/// batch. Programs build their DAG segment by segment so the checkpointing
-/// caller can run round-by-round; solo runs add every segment and run once.
-/// One checkpoint/resume *unit* per completed segment, under the program's
-/// driver tag — the same unit vocabulary as the solo drivers, so a job
-/// preempted from a batch resumes solo (and vice versa).
+/// The node program of one factorization — or, for fusion, of K lockstep
+/// members of one shape — inside a (possibly colocated) batch. Programs
+/// build their DAG segment by segment so the checkpointing caller can run
+/// round-by-round; unsegmented runs add every segment and run once. One
+/// checkpoint/resume *unit* per completed segment, under the program's
+/// driver tag, for every member — the same unit vocabulary as the solo
+/// drivers, so a job preempted from a batch resumes solo (and vice versa).
 class Program {
  public:
-  Program(TaskGraph& graph, const BatchJob& job) : g_(graph), job_(job) {}
+  Program(TaskGraph& graph, std::span<const BatchJob> members)
+      : g_(graph), members_(members), job_(members.front()) {}
   virtual ~Program() = default;
 
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
 
-  const BatchJob& job() const { return job_; }
+  std::span<const BatchJob> members() const { return members_; }
 
   /// Checkpoint driver tag ("tiled" / "blocking" / "left") — what
   /// qr::resume dispatches on.
@@ -95,6 +121,8 @@ class Program {
 
  protected:
   TaskGraph& g_;
+  std::span<const BatchJob> members_;
+  /// The first member — the only one outside fusion.
   const BatchJob& job_;
 };
 
@@ -104,7 +132,7 @@ class Program {
 class TiledProgram : public Program {
  public:
   TiledProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, job), a_(job.a), r_(job.r) {
+      : Program(graph, {&job, 1}), a_(job.a), r_(job.r) {
     m_ = a_.rows;
     n_ = a_.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "tiled_qr: need m >= n >= 1");
@@ -195,8 +223,7 @@ class TiledProgram : public Program {
         in_deps = prev_q_readers_;
       } else {
         far_slot = stream_.acquire();
-        dst = DeviceMatrixRef(stream_.bufs[far_slot].get())
-                  .block(0, 0, m_, wj);
+        dst = stream_.ref(far_slot, m_, wj);
         stream_.depend(far_slot, in_deps);
       }
       if (out_a_.count(j) > 0) in_deps.push_back(out_a_[j]);
@@ -210,8 +237,7 @@ class TiledProgram : public Program {
 
       // Block-MGS update: R_kj = Q_k^T A_j, then A_j -= Q_k R_kj.
       const size_t rs = rtiles_.acquire();
-      const DeviceMatrixRef rt =
-          DeviceMatrixRef(rtiles_.bufs[rs].get()).block(0, 0, wk, wj);
+      const DeviceMatrixRef rt = rtiles_.ref(rs, wk, wj);
       std::vector<TaskId> upd_deps{in, fac_};
       rtiles_.depend(rs, upd_deps);
       const DeviceMatrixRef q = tile_buf(k);
@@ -268,8 +294,7 @@ class TiledProgram : public Program {
   index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
   index_t offset(index_t t) const { return t * b_; }
   DeviceMatrixRef tile_buf(index_t t) {
-    return DeviceMatrixRef(big_.bufs[static_cast<size_t>(t) & 1].get())
-        .block(0, 0, m_, width(t));
+    return big_.ref(static_cast<size_t>(t) & 1, m_, width(t));
   }
   sim::HostConstRef host_tile_const(index_t t) const {
     return ooc::host_block(sim::as_const(a_), 0, offset(t), m_, width(t));
@@ -288,7 +313,7 @@ class TiledProgram : public Program {
     rtiles_.depend(rs, deps);
     const index_t w = width(t);
     fac_r_slot_ = rs;
-    fac_r_ref_ = DeviceMatrixRef(rtiles_.bufs[rs].get()).block(0, 0, w, w);
+    fac_r_ref_ = rtiles_.ref(rs, w, w);
     const DeviceMatrixRef aq = tile_buf(t);
     const DeviceMatrixRef rt = fac_r_ref_;
     return g_.add(
@@ -336,26 +361,35 @@ class TiledProgram : public Program {
   std::map<index_t, TaskId> out_a_;
 };
 
-/// Right-looking fixed-panel CGS as a node program: factor panel i, then
-/// stream every trailing panel through the device twice — once in the GEMM
-/// input storage width for the inner product R12 = Q^T B (k = m, fixed),
-/// once as the fp32 accumulator tile of the outer update C -= Q R12
-/// (k = w, fixed) — exactly the solo driver's double-streaming. Because
-/// every output element comes from ONE gemm whose k-extent is independent
-/// of the panel/tile partition, and fp16 conversions are elementwise, the
-/// arithmetic is bitwise identical to the solo SlabPipeline driver: a job
-/// preempted here resumes solo (tag "blocking") bit-identically. One unit
-/// = one panel iteration (panel factored + trailing updates applied).
+/// Right-looking fixed-panel CGS as a node program over K >= 1 same-shape
+/// members: factor panel i, then stream every trailing panel through the
+/// device twice — once in the GEMM input storage width for the inner
+/// product R12 = Q^T B (k = m, fixed), once as the fp32 accumulator tile of
+/// the outer update C -= Q R12 (k = w, fixed) — exactly the solo driver's
+/// double-streaming. Because every output element comes from ONE gemm whose
+/// k-extent is independent of the panel/tile partition, and fp16
+/// conversions are elementwise, the arithmetic is bitwise identical to the
+/// solo SlabPipeline driver: a job preempted here resumes solo (tag
+/// "blocking") bit-identically. One unit = one panel iteration (panel
+/// factored + trailing updates applied).
+///
+/// The batch width K only picks the device ops (the add_* helpers below).
+/// K = 1, the colocated program, issues solo ops under the job's label.
+/// K > 1 is fusion (run_fused_batch): the same nodes and priority keys, but
+/// each node issues ONE batched op whose entries are the members' solo
+/// bodies in member order, under "fused " names, so the fixed per-op
+/// latencies (link turnaround, kernel launch) are paid once per round.
 class BlockingProgram : public Program {
  public:
-  BlockingProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, job), a_(job.a), r_(job.r) {
-    m_ = a_.rows;
-    n_ = a_.cols;
+  BlockingProgram(TaskGraph& graph, std::span<const BatchJob> members)
+      : Program(graph, members),
+        prefix_(members.size() == 1 ? job_.label : "fused ") {
+    m_ = job_.a.rows;
+    n_ = job_.a.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "blocking batch: need m >= n >= 1");
-    ROCQR_CHECK(r_.rows == n_ && r_.cols == n_,
+    ROCQR_CHECK(job_.r.rows == n_ && job_.r.cols == n_,
                 "blocking batch: R must be n x n");
-    b_ = std::min(job.opts.blocksize, n_);
+    b_ = std::min(job_.opts.blocksize, n_);
     panels_ = (n_ + b_ - 1) / b_;
   }
 
@@ -363,35 +397,44 @@ class BlockingProgram : public Program {
   index_t units_done() const override { return units_; }
   index_t columns_done() const override { return std::min(units_ * b_, n_); }
 
-  /// Working set: a panel double buffer, streaming slots for the trailing
-  /// panels' inner-product input (GEMM storage width) and outer-product
-  /// accumulator (fp32), and a rotating pool of b x b R tiles.
+  /// Working set, per member: a panel double buffer, streaming slots for
+  /// the trailing panels' inner-product input (GEMM storage width) and
+  /// outer-product accumulator (fp32), and a rotating pool of b x b R
+  /// tiles.
   void allocate(Device& dev) override {
-    const std::string& l = job_.label;
     const StoragePrecision in_prec =
         ooc::detail::input_storage(gemm_options(job_.opts));
+    const auto add_slot = [&](SlotPool& pool, index_t rows,
+                              StoragePrecision prec, const std::string& role,
+                              index_t s) {
+      std::vector<ScopedMatrix> bufs;
+      bufs.reserve(members_.size());
+      for (size_t k = 0; k < members_.size(); ++k) {
+        std::string name = prefix_ + "blk " + role + " " + std::to_string(s);
+        if (!solo()) name += '.' + std::to_string(k);
+        bufs.emplace_back(dev, rows, b_, prec, name);
+      }
+      pool.add(std::move(bufs));
+    };
     const index_t panel_slots = std::min<index_t>(2, panels_);
     for (index_t s = 0; s < panel_slots; ++s) {
-      panel_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                              l + "blk panel " + std::to_string(s)));
+      add_slot(panel_, m_, StoragePrecision::FP32, "panel", s);
     }
     const index_t trail_slots = std::min<index_t>(2, panels_ - 1);
     for (index_t s = 0; s < trail_slots; ++s) {
-      bstream_.add(ScopedMatrix(dev, m_, b_, in_prec,
-                                l + "blk b " + std::to_string(s)));
-      cstream_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                                l + "blk c " + std::to_string(s)));
+      add_slot(bstream_, m_, in_prec, "b", s);
+      add_slot(cstream_, m_, StoragePrecision::FP32, "c", s);
     }
     const index_t r_slots = std::min<index_t>(4, panels_ + 1);
     for (index_t s = 0; s < r_slots; ++s) {
-      rtiles_.add(ScopedMatrix(dev, b_, b_, StoragePrecision::FP32,
-                               l + "blk r " + std::to_string(s)));
+      add_slot(rtiles_, b_, StoragePrecision::FP32, "r", s);
     }
   }
 
   /// Resume positioning only: the skipped panels' Q columns and R rows
   /// were restored onto the host, and right-looking trailing updates for
-  /// completed units are already applied there — nothing to stage.
+  /// completed units are already applied there — nothing to stage. Fused
+  /// members share one resume_units (the fusion contract).
   bool begin() override {
     i_ = std::min(job_.opts.resume_units, panels_);
     units_ = i_;
@@ -404,126 +447,95 @@ class BlockingProgram : public Program {
     if (i_ >= panels_) return false;
     const index_t i = i_;
     const index_t w = width(i);
-    const std::string& l = job_.label;
+    const std::string si = std::to_string(i);
     const std::int64_t p = prio(i, 0);
 
     // Panel move-in. WAR edge: this slot held panel i-2, wait its readers.
     // Host-order edge: panel i's columns were last written by the previous
     // iteration's trailing writeback.
-    const size_t ps = static_cast<size_t>(i) % panel_.bufs.size();
-    const DeviceMatrixRef pd =
-        DeviceMatrixRef(panel_.bufs[ps].get()).block(0, 0, m_, w);
+    const size_t ps = static_cast<size_t>(i) % panel_.size();
+    const Refs pd = panel_.refs(ps, m_, w);
     std::vector<TaskId> in_deps;
     panel_.depend(ps, in_deps);
     if (out_a_.count(i) > 0) in_deps.push_back(out_a_[i]);
-    const TaskId inp = g_.add(
-        TaskStage::MoveIn, l + "inP " + std::to_string(i),
-        [this, pd, i](TaskCtx& c) {
-          c.h2d(pd, host_panel_const(i),
-                job_.label + "h2d panel " + std::to_string(i));
-        },
-        std::move(in_deps), p);
+    const TaskId inp =
+        add_h2d("inP " + si, pd, i, "h2d panel " + si, std::move(in_deps), p);
 
     // In-core panel factorization (recursive CGS on the device), R_ii into
-    // a rotating b x b tile, then the Q panel and R_ii writebacks.
+    // a rotating b x b tile, then the R_ii and Q panel writebacks.
     const size_t rs = rtiles_.acquire();
-    const DeviceMatrixRef rii =
-        DeviceMatrixRef(rtiles_.bufs[rs].get()).block(0, 0, w, w);
+    const Refs rii = rtiles_.refs(rs, w, w);
     std::vector<TaskId> fac_deps{inp};
     rtiles_.depend(rs, fac_deps);
-    const TaskId fac = g_.add(
-        TaskStage::Compute, l + "fac " + std::to_string(i),
-        [this, pd, rii](TaskCtx& c) {
-          panel_qr_device(c.device(), pd, rii, c.stream(), job_.opts,
-                          job_.label);
-        },
-        std::move(fac_deps), p);
-    const TaskId emit = g_.add(
-        TaskStage::MoveOut, l + "emit " + std::to_string(i),
-        [this, rii, pd, i, w](TaskCtx& c) {
-          c.d2h(ooc::host_block(r_, offset(i), offset(i), w, w), rii,
-                job_.label + "d2h Rii " + std::to_string(i));
-          c.d2h(host_panel(i), pd,
-                job_.label + "d2h Q " + std::to_string(i));
-        },
-        {fac}, p);
+    const TaskId fac = add_panel("fac " + si, pd, rii, std::move(fac_deps), p);
+    std::vector<sim::Device::D2hBatchEntry> emit_out;
+    for (size_t k = 0; k < members_.size(); ++k) {
+      emit_out.push_back(
+          {ooc::host_block(members_[k].r, offset(i), offset(i), w, w),
+           rii[k]});
+      emit_out.push_back({host_panel(k, i), pd[k]});
+    }
+    const TaskId emit =
+        add_d2h("emit " + si, std::move(emit_out), "d2h RiiQ " + si, {fac}, p,
+                {"d2h Rii " + si, "d2h Q " + si});
     rtiles_.use(rs, {emit});
     std::vector<TaskId> panel_readers{emit};
 
     // Trailing updates, one panel-width column slab at a time.
     for (index_t j = i + 1; j < panels_; ++j) {
       const index_t wj = width(j);
+      const std::string sj = std::to_string(j);
+      const std::string sij = idx(i, j);
       const std::int64_t pt = prio(i, 1);
 
       // Inner-product input slab (GEMM storage width — fp16 on the
       // TensorCore path, halving the streamed bytes like the solo engine).
       const size_t bs = bstream_.acquire();
-      const DeviceMatrixRef bd =
-          DeviceMatrixRef(bstream_.bufs[bs].get()).block(0, 0, m_, wj);
+      const Refs bd = bstream_.refs(bs, m_, wj);
       std::vector<TaskId> inb_deps;
       bstream_.depend(bs, inb_deps);
       if (out_a_.count(j) > 0) inb_deps.push_back(out_a_[j]);
-      const TaskId inb = g_.add(
-          TaskStage::MoveIn, l + "inB " + idx(i, j),
-          [this, bd, j](TaskCtx& c) {
-            c.h2d(bd, host_panel_const(j),
-                  job_.label + "h2d b " + std::to_string(j));
-          },
-          std::move(inb_deps), pt);
+      const TaskId inb =
+          add_h2d("inB " + sij, bd, j, "h2d b " + sj, std::move(inb_deps), pt);
 
       // R12 = Q^T B over the full column height (k = m).
       const size_t rs2 = rtiles_.acquire();
-      const DeviceMatrixRef r12 =
-          DeviceMatrixRef(rtiles_.bufs[rs2].get()).block(0, 0, w, wj);
+      const Refs r12 = rtiles_.refs(rs2, w, wj);
       std::vector<TaskId> u1_deps{inb, fac};
       rtiles_.depend(rs2, u1_deps);
-      const TaskId upd1 = g_.add(
-          TaskStage::Compute, l + "inner " + idx(i, j),
-          [this, pd, bd, r12, i, j](TaskCtx& c) {
-            c.gemm(blas::Op::Trans, blas::Op::NoTrans, 1.0f, pd, bd, 0.0f,
-                   r12, job_.label + "gemm qtb " + idx(i, j));
-          },
-          std::move(u1_deps), pt);
+      const TaskId upd1 =
+          add_gemm("inner " + sij, blas::Op::Trans, 1.0f, pd, bd, 0.0f, r12,
+                   "gemm qtb " + sij, std::move(u1_deps), pt);
       bstream_.use(bs, {upd1});
-      const TaskId outr = g_.add(
-          TaskStage::MoveOut, l + "outR " + idx(i, j),
-          [this, r12, i, j](TaskCtx& c) {
-            c.d2h(ooc::host_block(r_, offset(i), offset(j), r12.rows,
-                                  r12.cols),
-                  r12, job_.label + "d2h R " + idx(i, j));
-          },
-          {upd1}, pt);
+      std::vector<sim::Device::D2hBatchEntry> r_out;
+      for (size_t k = 0; k < members_.size(); ++k) {
+        r_out.push_back(
+            {ooc::host_block(members_[k].r, offset(i), offset(j), w, wj),
+             r12[k]});
+      }
+      const TaskId outr =
+          add_d2h("outR " + sij, std::move(r_out), "d2h R " + sij, {upd1}, pt);
 
       // Fresh fp32 read of the same slab as the beta = 1 accumulator —
       // the solo engines' double-streaming, byte for byte.
       const size_t cs = cstream_.acquire();
-      const DeviceMatrixRef cd =
-          DeviceMatrixRef(cstream_.bufs[cs].get()).block(0, 0, m_, wj);
+      const Refs cd = cstream_.refs(cs, m_, wj);
       std::vector<TaskId> inc_deps;
       cstream_.depend(cs, inc_deps);
       if (out_a_.count(j) > 0) inc_deps.push_back(out_a_[j]);
-      const TaskId inc = g_.add(
-          TaskStage::MoveIn, l + "inC " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            c.h2d(cd, host_panel_const(j),
-                  job_.label + "h2d c " + std::to_string(j));
-          },
-          std::move(inc_deps), pt);
-      const TaskId upd2 = g_.add(
-          TaskStage::Compute, l + "outer " + idx(i, j),
-          [this, pd, r12, cd, i, j](TaskCtx& c) {
-            c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, -1.0f, pd, r12,
-                   1.0f, cd, job_.label + "gemm upd " + idx(i, j));
-          },
-          {inc, upd1}, pt);
+      const TaskId inc =
+          add_h2d("inC " + sij, cd, j, "h2d c " + sj, std::move(inc_deps), pt);
+      const TaskId upd2 =
+          add_gemm("outer " + sij, blas::Op::NoTrans, -1.0f, pd, r12, 1.0f, cd,
+                   "gemm upd " + sij, {inc, upd1}, pt);
       rtiles_.use(rs2, {outr, upd2});
-      const TaskId outa = g_.add(
-          TaskStage::MoveOut, l + "outA " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            c.d2h(host_panel(j), cd,
-                  job_.label + "d2h tile " + std::to_string(j));
-          },
-          {upd2}, pt);
+      std::vector<sim::Device::D2hBatchEntry> a_out;
+      for (size_t k = 0; k < members_.size(); ++k) {
+        a_out.push_back({host_panel(k, j), cd[k]});
+      }
+      const TaskId outa =
+          add_d2h("outA " + sij, std::move(a_out), "d2h tile " + sj, {upd2},
+                  pt);
       cstream_.use(cs, {outa});
       out_a_[j] = outa;
       panel_readers.push_back(upd2);
@@ -535,13 +547,16 @@ class BlockingProgram : public Program {
   }
 
  private:
+  using Refs = std::vector<DeviceMatrixRef>;
+
   index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
   index_t offset(index_t t) const { return t * b_; }
-  sim::HostConstRef host_panel_const(index_t t) const {
-    return ooc::host_block(sim::as_const(a_), 0, offset(t), m_, width(t));
+  sim::HostConstRef host_panel_const(size_t k, index_t t) const {
+    return ooc::host_block(sim::as_const(members_[k].a), 0, offset(t), m_,
+                           width(t));
   }
-  sim::HostMutRef host_panel(index_t t) const {
-    return ooc::host_block(a_, 0, offset(t), m_, width(t));
+  sim::HostMutRef host_panel(size_t k, index_t t) const {
+    return ooc::host_block(members_[k].a, 0, offset(t), m_, width(t));
   }
   /// Priority key: (panel, phase) with phase 0 = panel move-in/factor/emit
   /// and 1 = the trailing updates, so colocated jobs interleave per panel.
@@ -549,8 +564,106 @@ class BlockingProgram : public Program {
     return 4 * static_cast<std::int64_t>(i) + phase;
   }
 
-  HostMutRef a_;
-  HostMutRef r_;
+  // The one place the batch width picks the device ops. Each helper adds
+  // one node whose body issues, for K = 1, the solo op (one transfer per
+  // payload, the ABFT-checked GEMM, panel_qr_device) and, for K > 1, one
+  // batched op over every member's entries in member order.
+  bool solo() const { return members_.size() == 1; }
+
+  /// Move-in of every member's host panel t into `dst`.
+  TaskId add_h2d(const std::string& node, const Refs& dst, index_t t,
+                 const std::string& op, std::vector<TaskId> deps,
+                 std::int64_t p) {
+    std::vector<sim::Device::H2dBatchEntry> es;
+    es.reserve(dst.size());
+    for (size_t k = 0; k < dst.size(); ++k) {
+      es.push_back({dst[k], host_panel_const(k, t)});
+    }
+    return g_.add(
+        TaskStage::MoveIn, prefix_ + node,
+        [this, es = std::move(es), name = prefix_ + op](TaskCtx& c) {
+          if (solo()) {
+            c.h2d(es[0].dst, es[0].src, name);
+          } else {
+            c.h2d_batched(es, name);
+          }
+        },
+        std::move(deps), p);
+  }
+
+  /// C = alpha op(A) B + beta C per member (op(A) = A^T for the inner
+  /// product, A for the outer update).
+  TaskId add_gemm(const std::string& node, blas::Op opa, float alpha,
+                  const Refs& a, const Refs& b, float beta, const Refs& c,
+                  const std::string& op, std::vector<TaskId> deps,
+                  std::int64_t p) {
+    std::vector<sim::Device::GemmBatchEntry> es;
+    es.reserve(a.size());
+    for (size_t k = 0; k < a.size(); ++k) {
+      es.push_back({opa, blas::Op::NoTrans, alpha, a[k], b[k], beta, c[k]});
+    }
+    return g_.add(
+        TaskStage::Compute, prefix_ + node,
+        [this, es = std::move(es), name = prefix_ + op](TaskCtx& ctx) {
+          if (solo()) {
+            const sim::Device::GemmBatchEntry& e = es[0];
+            ctx.gemm(e.opa, e.opb, e.alpha, e.a, e.b, e.beta, e.c, name);
+          } else {
+            ctx.gemm_batched(es, name);
+          }
+        },
+        std::move(deps), p);
+  }
+
+  /// In-core factorization of every member's panel `aq` into `r`.
+  TaskId add_panel(const std::string& node, const Refs& aq, const Refs& r,
+                   std::vector<TaskId> deps, std::int64_t p) {
+    std::vector<PanelBatchEntry> es;
+    es.reserve(aq.size());
+    for (size_t k = 0; k < aq.size(); ++k) es.push_back({aq[k], r[k]});
+    return g_.add(
+        TaskStage::Compute, prefix_ + node,
+        [this, es = std::move(es)](TaskCtx& c) {
+          if (solo()) {
+            panel_qr_device(c.device(), es[0].aq, es[0].r, c.stream(),
+                            job_.opts, job_.label);
+          } else {
+            panel_qr_device_batched(
+                c.device(), es, c.stream(), job_.opts,
+                "fused panel_qr " + std::to_string(m_) + "x" +
+                    std::to_string(es[0].aq.cols) + " x" +
+                    std::to_string(es.size()));
+          }
+        },
+        std::move(deps), p);
+  }
+
+  /// Move-out of member-major `es`. K > 1 drains them as one transfer
+  /// named `op`; K = 1 issues one transfer per payload, named by
+  /// `solo_ops` when a node drains several (the emit's R_ii and Q).
+  TaskId add_d2h(const std::string& node,
+                 std::vector<sim::Device::D2hBatchEntry> es,
+                 const std::string& op, std::vector<TaskId> deps,
+                 std::int64_t p, std::vector<std::string> solo_ops = {}) {
+    if (solo_ops.empty()) solo_ops.push_back(op);
+    return g_.add(
+        TaskStage::MoveOut, prefix_ + node,
+        [this, es = std::move(es), op, solo_ops = std::move(solo_ops)](
+            TaskCtx& c) {
+          if (!solo()) {
+            c.d2h_batched(es, prefix_ + op);
+            return;
+          }
+          for (size_t e = 0; e < es.size(); ++e) {
+            c.d2h(es[e].dst, es[e].src, prefix_ + solo_ops[e]);
+          }
+        },
+        std::move(deps), p);
+  }
+
+  /// Op-name prefix: the job label for K = 1 (per-job attribution on a
+  /// shared device), "fused " for a fused batch.
+  std::string prefix_;
   index_t m_ = 0;
   index_t n_ = 0;
   index_t b_ = 0;
@@ -573,7 +686,7 @@ class BlockingProgram : public Program {
 class LeftLookingProgram : public Program {
  public:
   LeftLookingProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, job), a_(job.a), r_(job.r) {
+      : Program(graph, {&job, 1}), a_(job.a), r_(job.r) {
     m_ = a_.rows;
     n_ = a_.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "left batch: need m >= n >= 1");
@@ -632,9 +745,8 @@ class LeftLookingProgram : public Program {
     // The panel's columns are still ORIGINAL data (left-looking writes
     // each column block exactly once), so the move-in has no host-order
     // edge — only the WAR edge on the double-buffer slot.
-    const size_t ps = static_cast<size_t>(i) % panel_.bufs.size();
-    const DeviceMatrixRef pd =
-        DeviceMatrixRef(panel_.bufs[ps].get()).block(0, 0, m_, w);
+    const size_t ps = static_cast<size_t>(i) % panel_.size();
+    const DeviceMatrixRef pd = panel_.ref(ps, m_, w);
     std::vector<TaskId> in_deps;
     panel_.depend(ps, in_deps);
     const TaskId inp = g_.add(
@@ -653,8 +765,7 @@ class LeftLookingProgram : public Program {
       const index_t wj = width(j);
       const std::int64_t pt = prio(i, 1);
       const size_t qs = qring_.acquire();
-      const DeviceMatrixRef qd =
-          DeviceMatrixRef(qring_.bufs[qs].get()).block(0, 0, m_, wj);
+      const DeviceMatrixRef qd = qring_.ref(qs, m_, wj);
       std::vector<TaskId> inq_deps;
       qring_.depend(qs, inq_deps);
       // Q_j must have landed on the host — a real graph edge from its
@@ -671,8 +782,7 @@ class LeftLookingProgram : public Program {
           std::move(inq_deps), pt);
 
       // R(j, i) = Q_j^T P ; P -= Q_j R(j, i) — the skinny GEMM pair.
-      const DeviceMatrixRef rb =
-          DeviceMatrixRef(rblk_.bufs[0].get()).block(0, 0, wj, w);
+      const DeviceMatrixRef rb = rblk_.ref(0, wj, w);
       std::vector<TaskId> proj_deps{inq, inp};
       rblk_.depend(0, proj_deps);
       const TaskId proj = g_.add(
@@ -699,8 +809,7 @@ class LeftLookingProgram : public Program {
 
     // In-core factorization of the fully projected panel, then the Q / Rii
     // writebacks. The shared Rii scratch's WAR edge is the previous emit.
-    const DeviceMatrixRef rd =
-        DeviceMatrixRef(rii_.bufs[0].get()).block(0, 0, w, w);
+    const DeviceMatrixRef rd = rii_.ref(0, w, w);
     std::vector<TaskId> fac_deps{inp};
     if (last_proj != kNone) fac_deps.push_back(last_proj);
     rii_.depend(0, fac_deps);
@@ -758,296 +867,13 @@ class LeftLookingProgram : public Program {
   std::vector<TaskId> emit_;
 };
 
-/// Rotating pool of K-wide buffer slots for the fused batch: one slot holds
-/// one buffer PER JOB (the jobs advance in lockstep, so a slot's K buffers
-/// are always acquired and released together), with the shared node-level
-/// WAR bookkeeping of SlotPool.
-struct FusedSlotPool {
-  std::vector<std::vector<ScopedMatrix>> slots; // [slot][job]
-
-  void add(std::vector<ScopedMatrix> per_job) {
-    slots.push_back(std::move(per_job));
-    last_uses_.emplace_back();
-  }
-  size_t acquire() {
-    const size_t s = next_;
-    next_ = (next_ + 1) % slots.size();
-    return s;
-  }
-  void depend(size_t s, std::vector<TaskId>& deps) const {
-    deps.insert(deps.end(), last_uses_[s].begin(), last_uses_[s].end());
-  }
-  void use(size_t s, std::vector<TaskId> ids) {
-    last_uses_[s] = std::move(ids);
-  }
-
- private:
-  std::vector<std::vector<TaskId>> last_uses_;
-  size_t next_ = 0;
-};
-
-/// The fused-batch builder: BlockingProgram's exact node topology and
-/// priority keys, with every node body issuing ONE batched device op whose
-/// K entries are the solo bodies of the K jobs (see run_fused_batch in
-/// tiled_qr.hpp for the contract).
-class FusedBlocking {
- public:
-  FusedBlocking(TaskGraph& graph, const std::vector<BatchJob>& jobs)
-      : g_(graph), jobs_(jobs), opts_(jobs.front().opts) {
-    m_ = jobs.front().a.rows;
-    n_ = jobs.front().a.cols;
-    ROCQR_CHECK(m_ >= n_ && n_ >= 1, "fused batch: need m >= n >= 1");
-    b_ = std::min(opts_.blocksize, n_);
-    panels_ = (n_ + b_ - 1) / b_;
-  }
-
-  index_t units_done() const { return units_; }
-  index_t columns_done() const { return std::min(units_ * b_, n_); }
-
-  /// K copies of BlockingProgram's working set, slot-pooled together.
-  void allocate(Device& dev) {
-    const StoragePrecision in_prec =
-        ooc::detail::input_storage(gemm_options(opts_));
-    const size_t nj = jobs_.size();
-    const auto pool = [&](FusedSlotPool& p, index_t slots, index_t rows,
-                          index_t cols, StoragePrecision prec,
-                          const char* role) {
-      for (index_t s = 0; s < slots; ++s) {
-        std::vector<ScopedMatrix> per_job;
-        per_job.reserve(nj);
-        for (size_t k = 0; k < nj; ++k) {
-          per_job.emplace_back(dev, rows, cols, prec,
-                               "fused " + std::string(role) + " " +
-                                   std::to_string(s) + "." +
-                                   std::to_string(k));
-        }
-        p.add(std::move(per_job));
-      }
-    };
-    pool(panel_, std::min<index_t>(2, panels_), m_, b_,
-         StoragePrecision::FP32, "panel");
-    pool(bstream_, std::min<index_t>(2, panels_ - 1), m_, b_, in_prec, "b");
-    pool(cstream_, std::min<index_t>(2, panels_ - 1), m_, b_,
-         StoragePrecision::FP32, "c");
-    pool(rtiles_, std::min<index_t>(4, panels_ + 1), b_, b_,
-         StoragePrecision::FP32, "r");
-  }
-
-  /// Resume positioning only (every job shares one resume_units — the
-  /// coalescer only fuses jobs at the same checkpoint boundary).
-  void begin() {
-    i_ = std::min(opts_.resume_units, panels_);
-    units_ = i_;
-  }
-
-  /// Adds fused panel iteration i: one batched move-in + batched panel
-  /// kernel + batched emit, then one batched inner/outer update pair per
-  /// trailing panel.
-  bool add_step() {
-    if (i_ >= panels_) return false;
-    const index_t i = i_;
-    const index_t w = width(i);
-    const std::int64_t p = prio(i, 0);
-
-    const size_t ps = static_cast<size_t>(i) % panel_.slots.size();
-    std::vector<DeviceMatrixRef> pd = slot_refs(panel_, ps, m_, w);
-    std::vector<TaskId> in_deps;
-    panel_.depend(ps, in_deps);
-    if (out_a_.count(i) > 0) in_deps.push_back(out_a_[i]);
-    const TaskId inp = g_.add(
-        TaskStage::MoveIn, "fused inP " + std::to_string(i),
-        [this, pd, i](TaskCtx& c) {
-          std::vector<sim::Device::H2dBatchEntry> es;
-          es.reserve(pd.size());
-          for (size_t k = 0; k < pd.size(); ++k) {
-            es.push_back({pd[k], host_panel_const(k, i)});
-          }
-          c.h2d_batched(es, "fused h2d panel " + std::to_string(i));
-        },
-        std::move(in_deps), p);
-
-    const size_t rs = rtiles_.acquire();
-    std::vector<DeviceMatrixRef> rii = slot_refs(rtiles_, rs, w, w);
-    std::vector<TaskId> fac_deps{inp};
-    rtiles_.depend(rs, fac_deps);
-    const TaskId fac = g_.add(
-        TaskStage::Compute, "fused fac " + std::to_string(i),
-        [this, pd, rii, w](TaskCtx& c) {
-          std::vector<PanelBatchEntry> es;
-          es.reserve(pd.size());
-          for (size_t k = 0; k < pd.size(); ++k) {
-            es.push_back({pd[k], rii[k]});
-          }
-          panel_qr_device_batched(c.device(), es, c.stream(), opts_,
-                                  "fused panel_qr " + std::to_string(m_) +
-                                      "x" + std::to_string(w) + " x" +
-                                      std::to_string(es.size()));
-        },
-        std::move(fac_deps), p);
-    const TaskId emit = g_.add(
-        TaskStage::MoveOut, "fused emit " + std::to_string(i),
-        [this, rii, pd, i, w](TaskCtx& c) {
-          std::vector<sim::Device::D2hBatchEntry> es;
-          es.reserve(2 * pd.size());
-          for (size_t k = 0; k < pd.size(); ++k) {
-            es.push_back({ooc::host_block(jobs_[k].r, offset(i), offset(i),
-                                          w, w),
-                          rii[k]});
-            es.push_back({host_panel(k, i), pd[k]});
-          }
-          c.d2h_batched(es, "fused d2h RiiQ " + std::to_string(i));
-        },
-        {fac}, p);
-    rtiles_.use(rs, {emit});
-    std::vector<TaskId> panel_readers{emit};
-
-    for (index_t j = i + 1; j < panels_; ++j) {
-      const index_t wj = width(j);
-      const std::int64_t pt = prio(i, 1);
-
-      const size_t bs = bstream_.acquire();
-      std::vector<DeviceMatrixRef> bd = slot_refs(bstream_, bs, m_, wj);
-      std::vector<TaskId> inb_deps;
-      bstream_.depend(bs, inb_deps);
-      if (out_a_.count(j) > 0) inb_deps.push_back(out_a_[j]);
-      const TaskId inb = g_.add(
-          TaskStage::MoveIn, "fused inB " + idx(i, j),
-          [this, bd, j](TaskCtx& c) {
-            std::vector<sim::Device::H2dBatchEntry> es;
-            es.reserve(bd.size());
-            for (size_t k = 0; k < bd.size(); ++k) {
-              es.push_back({bd[k], host_panel_const(k, j)});
-            }
-            c.h2d_batched(es, "fused h2d b " + std::to_string(j));
-          },
-          std::move(inb_deps), pt);
-
-      const size_t rs2 = rtiles_.acquire();
-      std::vector<DeviceMatrixRef> r12 = slot_refs(rtiles_, rs2, w, wj);
-      std::vector<TaskId> u1_deps{inb, fac};
-      rtiles_.depend(rs2, u1_deps);
-      const TaskId upd1 = g_.add(
-          TaskStage::Compute, "fused inner " + idx(i, j),
-          [this, pd, bd, r12, i, j](TaskCtx& c) {
-            std::vector<sim::Device::GemmBatchEntry> es;
-            es.reserve(pd.size());
-            for (size_t k = 0; k < pd.size(); ++k) {
-              es.push_back({blas::Op::Trans, blas::Op::NoTrans, 1.0f, pd[k],
-                            bd[k], 0.0f, r12[k]});
-            }
-            c.gemm_batched(es, "fused gemm qtb " + idx(i, j));
-          },
-          std::move(u1_deps), pt);
-      bstream_.use(bs, {upd1});
-      const TaskId outr = g_.add(
-          TaskStage::MoveOut, "fused outR " + idx(i, j),
-          [this, r12, i, j, w, wj](TaskCtx& c) {
-            std::vector<sim::Device::D2hBatchEntry> es;
-            es.reserve(r12.size());
-            for (size_t k = 0; k < r12.size(); ++k) {
-              es.push_back({ooc::host_block(jobs_[k].r, offset(i), offset(j),
-                                            w, wj),
-                            r12[k]});
-            }
-            c.d2h_batched(es, "fused d2h R " + idx(i, j));
-          },
-          {upd1}, pt);
-
-      const size_t cs = cstream_.acquire();
-      std::vector<DeviceMatrixRef> cd = slot_refs(cstream_, cs, m_, wj);
-      std::vector<TaskId> inc_deps;
-      cstream_.depend(cs, inc_deps);
-      if (out_a_.count(j) > 0) inc_deps.push_back(out_a_[j]);
-      const TaskId inc = g_.add(
-          TaskStage::MoveIn, "fused inC " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            std::vector<sim::Device::H2dBatchEntry> es;
-            es.reserve(cd.size());
-            for (size_t k = 0; k < cd.size(); ++k) {
-              es.push_back({cd[k], host_panel_const(k, j)});
-            }
-            c.h2d_batched(es, "fused h2d c " + std::to_string(j));
-          },
-          std::move(inc_deps), pt);
-      const TaskId upd2 = g_.add(
-          TaskStage::Compute, "fused outer " + idx(i, j),
-          [this, pd, r12, cd, i, j](TaskCtx& c) {
-            std::vector<sim::Device::GemmBatchEntry> es;
-            es.reserve(pd.size());
-            for (size_t k = 0; k < pd.size(); ++k) {
-              es.push_back({blas::Op::NoTrans, blas::Op::NoTrans, -1.0f,
-                            pd[k], r12[k], 1.0f, cd[k]});
-            }
-            c.gemm_batched(es, "fused gemm upd " + idx(i, j));
-          },
-          {inc, upd1}, pt);
-      rtiles_.use(rs2, {outr, upd2});
-      const TaskId outa = g_.add(
-          TaskStage::MoveOut, "fused outA " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            std::vector<sim::Device::D2hBatchEntry> es;
-            es.reserve(cd.size());
-            for (size_t k = 0; k < cd.size(); ++k) {
-              es.push_back({host_panel(k, j), cd[k]});
-            }
-            c.d2h_batched(es, "fused d2h tile " + std::to_string(j));
-          },
-          {upd2}, pt);
-      cstream_.use(cs, {outa});
-      out_a_[j] = outa;
-      panel_readers.push_back(upd2);
-    }
-    panel_.use(ps, std::move(panel_readers));
-    ++i_;
-    units_ = i_;
-    return true;
-  }
-
- private:
-  index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
-  index_t offset(index_t t) const { return t * b_; }
-  sim::HostConstRef host_panel_const(size_t k, index_t t) const {
-    return ooc::host_block(sim::as_const(jobs_[k].a), 0, offset(t), m_,
-                           width(t));
-  }
-  sim::HostMutRef host_panel(size_t k, index_t t) const {
-    return ooc::host_block(jobs_[k].a, 0, offset(t), m_, width(t));
-  }
-  std::int64_t prio(index_t i, std::int64_t phase) const {
-    return 4 * static_cast<std::int64_t>(i) + phase;
-  }
-  std::vector<DeviceMatrixRef> slot_refs(FusedSlotPool& pool, size_t s,
-                                         index_t rows, index_t cols) {
-    std::vector<DeviceMatrixRef> refs;
-    refs.reserve(pool.slots[s].size());
-    for (ScopedMatrix& buf : pool.slots[s]) {
-      refs.push_back(DeviceMatrixRef(buf.get()).block(0, 0, rows, cols));
-    }
-    return refs;
-  }
-
-  TaskGraph& g_;
-  const std::vector<BatchJob>& jobs_;
-  const QrOptions& opts_;
-  index_t m_ = 0;
-  index_t n_ = 0;
-  index_t b_ = 0;
-  index_t panels_ = 0;
-  index_t i_ = 0;
-  index_t units_ = 0;
-  FusedSlotPool panel_;
-  FusedSlotPool bstream_;
-  FusedSlotPool cstream_;
-  FusedSlotPool rtiles_;
-  std::map<index_t, TaskId> out_a_;
-};
-
 std::unique_ptr<Program> make_program(TaskGraph& graph, const BatchJob& job) {
   if (job.algorithm == "tiled") {
     return std::make_unique<TiledProgram>(graph, job);
   }
   if (job.algorithm == "blocking") {
-    return std::make_unique<BlockingProgram>(graph, job);
+    return std::make_unique<BlockingProgram>(
+        graph, std::span<const BatchJob>(&job, 1));
   }
   if (job.algorithm == "left") {
     return std::make_unique<LeftLookingProgram>(graph, job);
@@ -1056,17 +882,80 @@ std::unique_ptr<Program> make_program(TaskGraph& graph, const BatchJob& job) {
                         job.algorithm + "\"");
 }
 
+/// Runs `progs` (already allocated on `graph`) to completion. Without a
+/// checkpoint sink the whole DAG is built and run once — maximum lookahead
+/// across every step and every program. With one, the graph runs round by
+/// round so every boundary is a consistent "u units factored" host
+/// snapshot: a round enqueues one segment of EVERY program before the
+/// single graph.run(), so colocated jobs still interleave on the engines
+/// between checkpoint syncs; only then does each member of an advanced
+/// program checkpoint (maybe_checkpoint synchronizes before snapshotting,
+/// and is where a serve PreemptSink raises PreemptRequest, unwinding the
+/// whole batch). With one solo program this is exactly the
+/// segment-per-segment schedule resume replays.
+void run_programs(Device& dev, TaskGraph& graph,
+                  const std::vector<std::unique_ptr<Program>>& progs,
+                  bool checkpointed) {
+  if (!checkpointed) {
+    for (const auto& p : progs) p->begin();
+    bool more = true;
+    while (more) {
+      more = false;
+      for (const auto& p : progs) more = p->add_step() || more;
+    }
+    graph.run();
+    return;
+  }
+  const auto checkpoint = [&](const std::vector<char>& advanced) {
+    for (size_t i = 0; i < progs.size(); ++i) {
+      if (!advanced[i]) continue;
+      const Program& p = *progs[i];
+      for (const BatchJob& job : p.members()) {
+        maybe_checkpoint(dev, p.driver_tag(), job.a, job.r, job.opts,
+                         p.columns_done(), p.units_done());
+      }
+    }
+  };
+  std::vector<char> advanced(progs.size(), 0);
+  for (size_t i = 0; i < progs.size(); ++i) {
+    advanced[i] = progs[i]->begin() ? 1 : 0;
+  }
+  graph.run();
+  checkpoint(advanced); // a fresh tiled run factors tile 0 in begin()
+  while (true) {
+    bool more = false;
+    for (size_t i = 0; i < progs.size(); ++i) {
+      advanced[i] = progs[i]->add_step() ? 1 : 0;
+      more = more || advanced[i] != 0;
+    }
+    if (!more) return;
+    graph.run();
+    checkpoint(advanced);
+  }
+}
+
+/// The trace span of a batch: the solo driver's name when every job runs
+/// tiled, or every job left-looking; else "qr_batch".
+std::string batch_span_name(const std::vector<BatchJob>& jobs) {
+  const auto all = [&](const char* algorithm) {
+    return std::all_of(jobs.begin(), jobs.end(), [&](const BatchJob& j) {
+      return j.algorithm == algorithm;
+    });
+  };
+  if (all("tiled")) return "tiled_qr";
+  if (all("left")) return "left_looking_qr";
+  return "qr_batch";
+}
+
 } // namespace
 
 std::vector<QrStats> run_batch(Device& dev,
                                const std::vector<BatchJob>& jobs) {
   ROCQR_CHECK(!jobs.empty(), "run_batch: no jobs");
   bool any_sink = false;
-  bool all_tiled = true;
   for (const BatchJob& job : jobs) {
     job.opts.validate();
     any_sink = any_sink || job.opts.checkpoint_sink != nullptr;
-    all_tiled = all_tiled && job.algorithm == "tiled";
     // The graph-level transfer/ABFT configuration comes from jobs[0]; a
     // precision mismatch would silently change another job's arithmetic.
     ROCQR_CHECK(job.opts.precision == jobs.front().opts.precision,
@@ -1074,77 +963,24 @@ std::vector<QrStats> run_batch(Device& dev,
   }
 
   const size_t window = dev.trace().size();
-  sim::TraceSpan span(dev, all_tiled ? "tiled_qr" : "qr_batch");
+  sim::TraceSpan span(dev, batch_span_name(jobs));
   TaskGraph graph(dev, gemm_options(jobs.front().opts));
-
   std::vector<std::unique_ptr<Program>> progs;
   progs.reserve(jobs.size());
   for (const BatchJob& job : jobs) {
     progs.push_back(make_program(graph, job));
     progs.back()->allocate(dev);
   }
-
-  if (!any_sink) {
-    // No checkpoint boundaries: build the whole DAG and run it once —
-    // maximum lookahead across every step (and every colocated job).
-    for (auto& p : progs) p->begin();
-    bool more = true;
-    while (more) {
-      more = false;
-      for (auto& p : progs) more = p->add_step() || more;
-    }
-    graph.run();
-  } else {
-    // Checkpointed: run round-by-round so every boundary is a consistent
-    // "u units factored" host snapshot. A round enqueues one segment of
-    // EVERY job before the single graph.run(), so colocated jobs still
-    // interleave on the engines between checkpoint syncs; only then does
-    // each advanced job checkpoint (maybe_checkpoint synchronizes before
-    // snapshotting, and is where a serve PreemptSink raises
-    // PreemptRequest, unwinding the whole batch). With one job this is
-    // exactly the segment-per-segment schedule resume replays.
-    std::vector<char> advanced(progs.size(), 0);
-    for (size_t i = 0; i < progs.size(); ++i) {
-      advanced[i] = progs[i]->begin() ? 1 : 0;
-    }
-    graph.run();
-    for (size_t i = 0; i < progs.size(); ++i) {
-      if (!advanced[i]) continue; // resume staging: no new unit to record
-      auto& p = progs[i];
-      maybe_checkpoint(dev, p->driver_tag(), p->job().a, p->job().r,
-                       p->job().opts, p->columns_done(), p->units_done());
-    }
-    bool more = true;
-    while (more) {
-      more = false;
-      for (size_t i = 0; i < progs.size(); ++i) {
-        advanced[i] = progs[i]->add_step() ? 1 : 0;
-        more = more || advanced[i] != 0;
-      }
-      if (!more) break;
-      graph.run();
-      for (size_t i = 0; i < progs.size(); ++i) {
-        if (!advanced[i]) continue;
-        auto& p = progs[i];
-        maybe_checkpoint(dev, p->driver_tag(), p->job().a, p->job().r,
-                         p->job().opts, p->columns_done(), p->units_done());
-      }
-    }
-  }
+  run_programs(dev, graph, progs, any_sink);
 
   dev.synchronize();
   std::vector<QrStats> stats;
   stats.reserve(progs.size());
-  for (const auto& p : progs) {
+  for (const BatchJob& job : jobs) {
     stats.push_back(stats_from_trace(dev.trace(), window, dev.memory_peak(),
-                                     p->job().label));
+                                     job.label));
   }
   return stats;
-}
-
-QrStats run_tiled(Device& dev, HostMutRef a, HostMutRef r,
-                  const QrOptions& opts) {
-  return run_batch(dev, {BatchJob{"tiled", a, r, opts, ""}}).front();
 }
 
 std::vector<QrStats> run_fused_batch(Device& dev,
@@ -1179,29 +1015,10 @@ std::vector<QrStats> run_fused_batch(Device& dev,
   const size_t window = dev.trace().size();
   sim::TraceSpan span(dev, "qr_fused_batch x" + std::to_string(jobs.size()));
   TaskGraph graph(dev, gemm_options(j0.opts));
-  FusedBlocking prog(graph, jobs);
-  prog.allocate(dev);
-  prog.begin();
-
-  if (!any_sink) {
-    while (prog.add_step()) {
-    }
-    graph.run();
-  } else {
-    // The jobs advance in lockstep, so one fused round is one checkpoint
-    // boundary for every member: after each round's run() the device is
-    // synchronized once and every job snapshots (a serve PreemptSink may
-    // raise PreemptRequest there, unwinding the whole fused batch; each
-    // member's checkpoint carries the solo "blocking" tag so it can resume
-    // solo or in a different fusion).
-    while (prog.add_step()) {
-      graph.run();
-      for (const BatchJob& job : jobs) {
-        maybe_checkpoint(dev, "blocking", job.a, job.r, job.opts,
-                         prog.columns_done(), prog.units_done());
-      }
-    }
-  }
+  std::vector<std::unique_ptr<Program>> progs;
+  progs.push_back(std::make_unique<BlockingProgram>(graph, jobs));
+  progs.back()->allocate(dev);
+  run_programs(dev, graph, progs, any_sink);
 
   dev.synchronize();
   return std::vector<QrStats>(

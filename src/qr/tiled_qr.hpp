@@ -1,29 +1,40 @@
-// Tiled CGS QR on the TaskGraph executor (Buttari-style DAG lookahead),
-// plus the mixed-algorithm batch front end serve colocation runs on.
+// The single-device QR node programs on the TaskGraph executor, and the
+// batch front ends that run them.
 //
-// The tiled driver splits the matrix into full-height column tiles of
-// opts.blocksize. Step k streams every trailing tile A_j through the device
-// and applies the block-MGS update R_kj = Q_k^T A_j; A_j -= Q_k R_kj —
-// except tile k+1, which stays device-resident and factors in place the
-// moment its own update lands (`panel_qr_device`). Expressed as a task
-// graph, panel k+1's factorization carries a smaller priority key than step
-// k's remaining far-tile updates, so it enqueues — and on the FIFO compute
-// engine runs — while those updates are still moving in and draining out:
-// the lookahead of Buttari et al. ("Parallel Tiled QR Factorization for
-// Multicore Architectures"). Versus the bulk-synchronous recursive driver
-// the tiled schedule also moves fewer bytes at small tile counts: the
-// resident tile skips one host round trip per step and R rows leave the
-// device directly (see bench/tiled_qr_lookahead, BENCH_tiled_qr.json).
+// Three algorithms are node programs here, each the only implementation
+// of its algorithm on the DAG executor:
 //
-// `run_batch` fuses SEVERAL factorizations — tiled, blocking, or
-// left-looking, mixed freely — into ONE task graph on one device: every
-// job's algorithm is expressed as a node program over the shared
-// three-stream schedule, so one job's transfers overlap another's computes
-// regardless of algorithm. The blocking and left-looking programs perform
-// bitwise the same arithmetic as their solo SlabPipeline drivers (same
-// GEMM operand precisions and k-extents, elementwise fp16 conversions), so
-// a job preempted from a batch resumes solo — or vice versa — with
-// bit-identical results (pinned by tests/qr_mixed_batch_test.cpp).
+// - Tiled CGS (Buttari-style DAG lookahead). The matrix splits into
+//   full-height column tiles of opts.blocksize. Step k streams every
+//   trailing tile A_j through the device and applies the block-MGS update
+//   R_kj = Q_k^T A_j; A_j -= Q_k R_kj — except tile k+1, which stays
+//   device-resident and factors in place the moment its own update lands.
+//   Panel k+1's factorization carries a smaller priority key than step k's
+//   remaining far-tile updates, so it runs on the FIFO compute engine while
+//   those updates are still moving in and draining out: the lookahead of
+//   Buttari et al. ("Parallel Tiled QR Factorization for Multicore
+//   Architectures"). The resident tile also skips one host round trip per
+//   step (see bench/tiled_qr_lookahead, BENCH_tiled_qr.json).
+// - Left-looking CGS, the classic disk-era formulation (SOLAR, §2.1): each
+//   panel pulls in every previously factored Q panel and applies its
+//   projection lazily, so the trailing matrix is never updated or written
+//   back. It moves far fewer bytes than right-looking blocking at the price
+//   of skinny panel-width GEMMs (see bench/left_vs_right).
+// - Right-looking blocking CGS over K >= 1 same-shape members. K = 1 is
+//   the colocated program; K > 1 is fusion, issuing one batched device op
+//   per node for all K members. The solo blocking driver
+//   (qr/blocking_qr.cpp) stays separate: it plans its own working set,
+//   which is what fits the paper's largest configurations.
+//
+// qr::factorize and qr::resume run Algorithm::Tiled and
+// Algorithm::LeftLooking as a one-job `run_batch`. `run_batch` itself runs
+// SEVERAL factorizations — tiled, blocking, or left-looking, mixed freely —
+// as ONE task graph on one device, so one job's transfers overlap another's
+// computes regardless of algorithm. The blocking program performs bitwise
+// the same arithmetic as the solo driver (same GEMM operand precisions and
+// k-extents, elementwise fp16 conversions), so a job preempted from a batch
+// resumes solo — or vice versa — with bit-identical results (pinned by
+// tests/qr_mixed_batch_test.cpp and tests/qr_fused_batch_test.cpp).
 //
 // Checkpoints use the per-algorithm driver tags ("tiled", "blocking",
 // "left"). Tiled unit u = "tiles 0..u-1 factored, with the trailing
@@ -67,20 +78,18 @@ struct BatchJob {
 std::vector<QrStats> run_batch(sim::Device& dev,
                                const std::vector<BatchJob>& jobs);
 
-/// Single-job convenience wrapper around run_batch's tiled program.
-QrStats run_tiled(sim::Device& dev, sim::HostMutRef a, sim::HostMutRef r,
-                  const QrOptions& opts);
-
-/// Fuses K same-shape, same-precision "blocking" jobs into ONE node program
-/// of block-diagonal batched operations: per panel iteration the fused graph
-/// issues a single batched move-in, one batched panel kernel, one batched
-/// inner/outer GEMM pair per trailing panel and one batched move-out — each
-/// covering all K jobs — instead of K per-job rounds, so the fixed per-op
-/// latencies (link turnaround, kernel launch) are paid once per round. The
-/// per-entry numerics are the exact solo bodies in job order, so every job's
-/// R (and Q) is bit-identical to a solo run (pinned by
-/// tests/qr_fused_batch_test.cpp), and checkpoints carry the solo "blocking"
-/// driver tag: a job preempted from a fused batch resumes solo or fused.
+/// Fuses K same-shape, same-precision "blocking" jobs into ONE blocking
+/// program of batch width K, run through run_batch's round/checkpoint loop:
+/// per panel iteration the graph issues a single batched move-in, one
+/// batched panel kernel, one batched inner/outer GEMM pair per trailing
+/// panel and one batched move-out — each covering all K jobs — instead of K
+/// per-job rounds, so the fixed per-op latencies (link turnaround, kernel
+/// launch) are paid once per round. K = 1 issues the colocated program's
+/// solo ops. The per-entry numerics are the exact solo bodies in job order,
+/// so every job's R (and Q) is bit-identical to a solo run (pinned by
+/// tests/qr_fused_batch_test.cpp), and checkpoints carry the solo
+/// "blocking" driver tag: a job preempted from a fused batch resumes solo
+/// or fused.
 /// Requires: every job algorithm "blocking", identical m/n/blocksize/
 /// precision/panel algorithm, equal resume_units, abft off. Returned
 /// per-job stats are an even 1/K split of the fused window's volume

@@ -27,7 +27,9 @@
 #include "ooc/gemm_engines.hpp"
 #include "ooc/operand.hpp"
 #include "ooc/trsm_engine.hpp"
+#include "qr/checkpoint.hpp"
 #include "qr/factorize.hpp"
+#include "qr/tiled_qr.hpp"
 #include "sim/device.hpp"
 
 #ifndef ROCQR_GOLDEN_DIR
@@ -333,6 +335,44 @@ TEST(ScheduleGolden, TiledQrTaskGraph) {
                              HostMutRef::phantom(2048, 1024),
                              HostMutRef::phantom(1024, 1024),
                              rocqr::qr::Algorithm::Tiled, o});
+  });
+}
+
+TEST(ScheduleGolden, MixedBatchCheckpointed) {
+  // One task graph over a tiled, a blocking and a left-looking job, run
+  // round by round because a checkpoint sink is installed: each round
+  // enqueues one segment of every job before the checkpoint sync, so the
+  // cross-job interleaving on the three engines is pinned op by op.
+  check_golden("mixed_batch", 256LL << 20, [](Device& dev) {
+    rocqr::qr::MemoryCheckpointSink sink;
+    rocqr::qr::QrOptions o;
+    o.blocksize = 256;
+    o.checkpoint_sink = &sink;
+    rocqr::qr::detail::run_batch(
+        dev, {{"tiled", HostMutRef::phantom(1024, 768),
+               HostMutRef::phantom(768, 768), o, "j0."},
+              {"blocking", HostMutRef::phantom(1024, 768),
+               HostMutRef::phantom(768, 768), o, "j1."},
+              {"left", HostMutRef::phantom(1024, 768),
+               HostMutRef::phantom(768, 768), o, "j2."}});
+  });
+}
+
+TEST(ScheduleGolden, FusedBatchCheckpointed) {
+  // Three same-shape blocking jobs fused into batched ops, one checkpoint
+  // boundary per fused round.
+  check_golden("fused_batch", 256LL << 20, [](Device& dev) {
+    rocqr::qr::MemoryCheckpointSink sink;
+    rocqr::qr::QrOptions o;
+    o.blocksize = 256;
+    o.checkpoint_sink = &sink;
+    std::vector<rocqr::qr::detail::BatchJob> jobs;
+    for (int k = 0; k < 3; ++k) {
+      jobs.push_back({"blocking", HostMutRef::phantom(1024, 768),
+                      HostMutRef::phantom(768, 768), o,
+                      "j" + std::to_string(k) + "."});
+    }
+    rocqr::qr::detail::run_fused_batch(dev, jobs);
   });
 }
 
